@@ -76,8 +76,9 @@ def _load_engine_config(path: str | None):
 @click.option("--policy", "policy_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--transport", type=click.Choice(["in-process", "loopback"]),
               default="in-process", show_default=True)
-@click.option("--mode", type=click.Choice(MODES), default="plaintext",
-              show_default=True, help="Confidentiality mode for loopback transport.")
+@click.option("--mode", type=click.Choice(MODES), default=None,
+              show_default="the --transport-config file's mode, else plaintext",
+              help="Confidentiality mode for loopback transport.")
 @click.option("--transport-config", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON transport config (keys for symmetric/handshake modes).")
 @click.option("--pace/--no-pace", default=False, show_default=True,
@@ -93,9 +94,10 @@ def replay(scenario_json, out_dir, fuzzy_config, policy_path, transport, mode,
         if transport == "loopback":
             if transport_config:
                 tcfg = load_transport_config(transport_config)
-                tcfg.mode = mode
+                if mode is not None:
+                    tcfg.mode = mode
             else:
-                tcfg = TransportConfig(mode=mode)
+                tcfg = TransportConfig(mode=mode or "plaintext")
                 if mode == "symmetric":
                     tcfg.psk_hex = "00" * 32
                 elif mode == "handshake-then-symmetric":

@@ -2,9 +2,12 @@
 
 The engine is immutable after construction and safe to share across
 threads. Output member curves are pre-sampled on a uniform grid over the
-output domain; inference clips each firing rule's consequent curve at the
-rule's premise weight and aggregates by pointwise maximum. Defuzzification
-is the centroid of that envelope on the same grid.
+output domain. Inference reduces the rule weights to one weight per output
+label, the strongest premise weight among the enabled rules that conclude
+it, clips each label's curve at that weight and aggregates by pointwise
+maximum. Clipping per label instead of per rule gives the same envelope,
+because max_i min(w_i, c) == min(max_i w_i, c) at every grid point.
+Defuzzification is the centroid of that envelope on the same grid.
 """
 
 from __future__ import annotations
@@ -62,11 +65,11 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class AggregatedOutput:
-    """Clipped consequent curves and their pointwise-max envelope."""
+    """Pointwise-max envelope of the output curves clipped at their weights."""
 
     grid: np.ndarray
     envelope: np.ndarray
-    activations: dict[str, tuple[float, np.ndarray]]  # rule id -> (weight, clipped curve)
+    activations: dict[str, float]  # output label -> weight
 
 
 @dataclass(frozen=True)
@@ -94,58 +97,52 @@ class FuzzyEngine:
             m.label: np.array([m.evaluate(z) for z in self._grid])
             for m in out.members
         }
-        self._inputs = self.config.input_names
+        for rule in self.config.rules:
+            if rule.consequent not in self._curves:
+                raise ConfigurationError(
+                    f"rule {rule.rule_id!r}: output variable has no label {rule.consequent!r}")
+        self._inputs = [(name, self.config.variable(name)) for name in self.config.input_names]
+        self._rules = [rule for rule in self.config.rules if rule.enabled]
 
     @property
     def grid(self) -> np.ndarray:
         return self._grid
 
-    def fuzzify(self, variable: str, x: float) -> FuzzifiedValue:
-        return self.config.variable(variable).fuzzify(x)
-
     def fuzzify_all(self, inputs: Mapping[str, float]) -> dict[str, FuzzifiedValue]:
         env = {}
-        for name in self._inputs:
+        for name, variable in self._inputs:
             if name not in inputs:
                 raise InputDataError(f"missing input {name!r}")
-            env[name] = self.fuzzify(name, inputs[name])
+            env[name] = variable.fuzzify(inputs[name])
         return env
 
     def infer(self, env: Mapping[str, FuzzifiedValue]) -> AggregatedOutput:
-        """Clip each enabled rule's consequent at its premise weight.
+        """Aggregate each output label at its strongest enabled rule's weight.
 
-        Rules with zero weight contribute nothing and are skipped; a fully
-        silent rule base yields an all-zero envelope.
+        Rules with zero weight contribute nothing; a fully silent rule base
+        yields an all-zero envelope.
         """
-        envelope = np.zeros_like(self._grid)
-        activations: dict[str, tuple[float, np.ndarray]] = {}
-        for rule in self.config.rules:
-            if not rule.enabled:
-                continue
+        weights: dict[str, float] = {}
+        for rule in self._rules:
             w = rule.evaluate(env)
-            if w <= 0.0:
-                continue
-            clipped = np.minimum(w, self._curves[rule.consequent])
-            activations[rule.rule_id] = (w, clipped)
-            np.maximum(envelope, clipped, out=envelope)
-        return AggregatedOutput(grid=self._grid, envelope=envelope, activations=activations)
+            if w > weights.get(rule.consequent, 0.0):
+                weights[rule.consequent] = w
+        return self.aggregate(weights)
 
     def aggregate(self, weights: Mapping[str, float]) -> AggregatedOutput:
-        """Aggregate direct per-output-label activation weights.
+        """Clip each output label's curve at its weight and take the pointwise max.
 
-        Same clip-and-max path as infer, bypassing the rule base; used for
-        diagnostics and engine verification.
+        Labels with zero weight are skipped and left out of activations.
         """
         envelope = np.zeros_like(self._grid)
-        activations: dict[str, tuple[float, np.ndarray]] = {}
+        activations: dict[str, float] = {}
         for label, w in weights.items():
             if label not in self._curves:
                 raise ConfigurationError(f"no output member {label!r}")
             if w <= 0.0:
                 continue
-            clipped = np.minimum(w, self._curves[label])
-            activations[label] = (w, clipped)
-            np.maximum(envelope, clipped, out=envelope)
+            activations[label] = w
+            np.maximum(envelope, np.minimum(w, self._curves[label]), out=envelope)
         return AggregatedOutput(grid=self._grid, envelope=envelope, activations=activations)
 
     def defuzzify(self, agg: AggregatedOutput) -> SuspicionScore:

@@ -5,7 +5,9 @@ synthesized from the scenario fps, so staleness rules see time passing),
 feed the resulting records to the fog pipeline either in-process or over a
 loopback transport link, and collect a per-object score timeline plus the
 decision log. Records carry their own timestamps, so replay speed never
-changes outcomes: pacing only affects wall-clock duration.
+changes outcomes: pacing only affects wall-clock duration. A loopback
+replay that does not deliver every record raises instead of returning a
+truncated result.
 """
 
 from __future__ import annotations
@@ -119,11 +121,18 @@ def replay_scenario(scenario: Scenario,
                 sender.send_record(record, scenario.camera.camera_id)
             sender.flush()
             deadline = time.monotonic() + 30.0
-            while len(receiver.latency.samples) < len(ticks) and time.monotonic() < deadline:
+            while (len(receiver.latency.samples) + receiver.rejected + receiver.duplicates
+                   < len(ticks) and time.monotonic() < deadline):
                 time.sleep(0.005)
         finally:
             sender.close()
             receiver.stop()
+        delivered = len(receiver.latency.samples)
+        if delivered < len(ticks):
+            raise RuntimeError(
+                f"loopback replay incomplete: sent {len(ticks)}, delivered {delivered}, "
+                f"rejected {receiver.rejected}, duplicates {receiver.duplicates}, "
+                f"gaps {len(receiver.gaps)}")
     result.stats.wall_s = time.perf_counter() - started
 
     if out_dir is not None:

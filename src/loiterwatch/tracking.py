@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from .logs import ErrorLog
 
@@ -92,13 +93,6 @@ class FeatureRecord:
     objects: tuple[ObjectFeatures, ...]
 
 
-@dataclass(frozen=True)
-class TrackEvent:
-    kind: str  # spawned | continued | killed | stale-killed
-    track_id: int
-    frame_index: int
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two x,y,w,h boxes."""
     ax0, ay0, aw, ah = a
@@ -151,7 +145,7 @@ def update_kinematics(track: TrackState, box: Box, timestamp: float,
     t0, x0, y0 = track.history[0]
     span = timestamp - t0
     path = 0.0
-    for (ta, xa, ya), (tb, xb, yb) in zip(track.history, list(track.history)[1:]):
+    for (ta, xa, ya), (tb, xb, yb) in pairwise(track.history):
         path += math.hypot(xb - xa, yb - ya)
     speed = path / span if span > 0 else 0.0
     if speed < params.speed_floor:
@@ -216,24 +210,21 @@ def greedy_iou_match(tracks: dict[int, TrackState], detections: list[Detection],
 
 def reconcile_detections(tracks: dict[int, TrackState], detections: list[Detection],
                          iou_threshold: float, params: TrackerParams,
-                         next_id: int) -> tuple[list[TrackEvent], int]:
+                         next_id: int) -> int:
     """Apply one detector cycle to the live track table (mutates it).
 
     Matched pairs continue their track; unmatched detections spawn fresh
     tracks; live tracks the detector did not confirm are deleted along with
     their accumulated state. Newly spawned tracks are not re-matched against
-    tracks deleted in the same cycle.
+    tracks deleted in the same cycle. Returns the next free track id.
     """
-    events: list[TrackEvent] = []
     matches, unmatched_tracks, unmatched_dets = greedy_iou_match(tracks, detections, iou_threshold)
     for tid, di, _ in matches:
         det = detections[di]
         update_kinematics(tracks[tid], det.box, det.timestamp, params)
         tracks[tid].last_frame = det.frame_index
-        events.append(TrackEvent("continued", tid, det.frame_index))
     for tid in unmatched_tracks:
         del tracks[tid]
-        events.append(TrackEvent("killed", tid, detections[0].frame_index if detections else -1))
     for di in unmatched_dets:
         det = detections[di]
         track = TrackState(
@@ -242,9 +233,8 @@ def reconcile_detections(tracks: dict[int, TrackState], detections: list[Detecti
         )
         update_kinematics(track, det.box, det.timestamp, params)
         tracks[next_id] = track
-        events.append(TrackEvent("spawned", next_id, det.frame_index))
         next_id += 1
-    return events, next_id
+    return next_id
 
 
 def build_feature_record(tracks: dict[int, TrackState], frame_index: int,
@@ -279,7 +269,6 @@ class TrackFeatureExtractor:
         self.params = params or TrackerParams()
         self.tracks: dict[int, TrackState] = {}
         self.error_log = error_log or ErrorLog()
-        self.events: list[TrackEvent] = []
         self._next_id = 1
         self._last_frame: int | None = None
         self._last_ts: float | None = None
@@ -296,10 +285,9 @@ class TrackFeatureExtractor:
 
         detector_rows = [d for d in detections if d.source == DETECTOR]
         if detector_rows:
-            events, self._next_id = reconcile_detections(
+            self._next_id = reconcile_detections(
                 self.tracks, detector_rows, self.params.iou_threshold,
                 self.params, self._next_id)
-            self.events.extend(events)
         else:
             self._tracker_update(detections)
         self._kill_stale(frame_index)
@@ -320,4 +308,3 @@ class TrackFeatureExtractor:
         for tid in [tid for tid, t in self.tracks.items()
                     if frame_index - t.last_frame >= limit]:
             del self.tracks[tid]
-            self.events.append(TrackEvent("stale-killed", tid, frame_index))

@@ -163,3 +163,36 @@ def test_suite_command_runs_everything(runner, tmp_path):
     assert result.output.startswith("suite: tp=4 fp=0 fn=0 -> ")
     for name in ("report.csv", "summary.txt", "runtime.csv"):
         assert (tmp_path / "s" / name).exists()
+
+
+@pytest.mark.parametrize("file_mode,flag,expected", [
+    ("symmetric", None, "symmetric"),
+    ("symmetric", "plaintext", "plaintext"),
+    (None, None, "plaintext"),
+])
+def test_replay_mode_from_flag_then_transport_config(runner, workspace, tmp_path,
+                                                      monkeypatch, file_mode,
+                                                      flag, expected):
+    import loiterwatch.cli as cli
+
+    modes = []
+    real_replay = cli.replay_scenario
+
+    def spy(*args, **kwargs):
+        modes.append(kwargs["transport"].mode)
+        return real_replay(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "replay_scenario", spy)
+    args = ["replay", str(workspace / "scen" / "l1.scenario.json"),
+            "--out", str(tmp_path), "--transport", "loopback"]
+    if file_mode is not None:
+        config_path = tmp_path / "transport.json"
+        config_path.write_text(json.dumps({"mode": file_mode, "psk_hex": "11" * 32}))
+        args += ["--transport-config", str(config_path)]
+    if flag is not None:
+        args += ["--mode", flag]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert modes == [expected]
+    direct = (workspace / "runs" / "l1.decisions.csv").read_bytes()
+    assert (tmp_path / "l1.decisions.csv").read_bytes() == direct

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from loiterwatch.fuzzy import (
     Atom,
+    ConfigurationError,
     EngineConfig,
     FuzzyEngine,
     InputDataError,
@@ -122,6 +123,13 @@ def test_silent_rule_base_scores_zero():
     result = engine.score_object({"x": 9.0})
     assert result.status == STATUS_OK
     assert result.value == 0.0
+
+
+def test_unknown_consequent_rejected_at_construction(config):
+    from dataclasses import replace
+    bogus = replace(config, rules=config.rules + (Rule("bad", Atom("hour", "night"), "bogus"),))
+    with pytest.raises(ConfigurationError, match="bogus"):
+        FuzzyEngine(bogus)
 
 
 def test_disabled_rules_do_not_fire(config):

@@ -92,3 +92,32 @@ def test_stats_track_decision_cost(day_walk):
     assert result.stats.decisions == len(result.timeline)
     assert result.stats.wall_s > 0.0
     assert 0.0 < result.stats.mean_decide_ms < 100.0
+
+
+def test_loopback_replay_raises_when_a_frame_is_lost(night_loiter, monkeypatch):
+    import re
+    import secrets
+    import time
+
+    from loiterwatch.transport.session import SymmetricSession
+
+    original_seal = SymmetricSession.seal
+    tampered = []
+
+    def corrupt_once(self, header, payload):
+        body = original_seal(self, header, payload)
+        if not tampered:
+            tampered.append(True)
+            body = bytes([body[0] ^ 0x01]) + body[1:]
+        return body
+
+    monkeypatch.setattr(SymmetricSession, "seal", corrupt_once)
+    config = TransportConfig(mode="symmetric", psk_hex=secrets.token_hex(32))
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="loopback replay incomplete") as excinfo:
+        replay_scenario(night_loiter, transport=config)
+    assert time.monotonic() - started < 10.0
+    counts = re.search(r"sent (\d+), delivered (\d+), rejected 1, duplicates 0, "
+                       r"gaps \d+$", str(excinfo.value))
+    assert counts, str(excinfo.value)
+    assert int(counts[2]) == int(counts[1]) - 1

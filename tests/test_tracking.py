@@ -322,22 +322,38 @@ def test_extractor_matches_direct_kinematics():
     assert features.dwell_time == pytest.approx(path[-1][0] - path[0][0])
 
 
+def lifecycle(extractor, rows, frame, timestamp):
+    """Process one frame; return its record and its (kind, track id) transitions.
+
+    Continued tracks come first, then killed, then spawned, each in id
+    order. A kill on a frame without detector rows is a stale kill.
+    """
+    before = dict(extractor.tracks)
+    record = extractor.process_frame(rows, frame, timestamp)
+    after = extractor.tracks
+    kill = "killed" if any(r.source == DETECTOR for r in rows) else "stale-killed"
+    transitions = ([("continued", tid) for tid in sorted(before)
+                    if tid in after and after[tid].last_frame == frame]
+                   + [(kill, tid) for tid in sorted(before) if tid not in after]
+                   + [("spawned", tid) for tid in sorted(after) if tid not in before])
+    return record, transitions
+
+
 def test_lifecycle_spawn_kill_respawn():
     extractor = TrackFeatureExtractor(PARAMS)
-    extractor.process_frame([det_row(0, 100.0)], 0, 0.0)
+    _, kinds = lifecycle(extractor, [det_row(0, 100.0)], 0, 0.0)
     assert list(extractor.tracks) == [1]
-    extractor.process_frame([det_row(5, 101.0)], 5, 1.0)
+    kinds += lifecycle(extractor, [det_row(5, 101.0)], 5, 1.0)[1]
     assert list(extractor.tracks) == [1]
     # Detector cycle with only a far-away box: track 1 dies, track 2 spawns.
-    extractor.process_frame([det_row(10, 500.0)], 10, 2.0)
+    kinds += lifecycle(extractor, [det_row(10, 500.0)], 10, 2.0)[1]
     assert list(extractor.tracks) == [2]
     # The person reappears: a fresh id with zeroed history, not track 1.
-    record = extractor.process_frame(
-        [det_row(15, 100.0), det_row(15, 500.0)], 15, 3.0)
+    record, last = lifecycle(extractor, [det_row(15, 100.0), det_row(15, 500.0)], 15, 3.0)
+    kinds += last
     assert sorted(extractor.tracks) == [2, 3]
     fresh = next(o for o in record.objects if o.track_id == 3)
     assert fresh.dwell_time == 0.0
-    kinds = [(e.kind, e.track_id) for e in extractor.events]
     assert kinds == [("spawned", 1), ("continued", 1), ("killed", 1),
                      ("spawned", 2), ("continued", 2), ("spawned", 3)]
 
@@ -349,9 +365,9 @@ def test_stale_track_killed_without_detector_rows():
     for frame in range(1, limit):
         extractor.process_frame([], frame, frame * DT)
         assert 1 in extractor.tracks
-    extractor.process_frame([], limit, limit * DT)
+    _, kinds = lifecycle(extractor, [], limit, limit * DT)
     assert extractor.tracks == {}
-    assert extractor.events[-1].kind == "stale-killed"
+    assert kinds[-1][0] == "stale-killed"
 
 
 def test_tracker_rows_cannot_spawn():
