@@ -82,13 +82,30 @@ class ContextualizedFeatures:
     people_count: int
 
     def engine_inputs(self) -> dict[str, float]:
-        return {
-            "hour": self.hour,
-            "dwell-time": self.dwell_time,
-            "speed-changes": float(self.speed_change_count),
-            "direction-changes": float(self.direction_change_count),
-            "people-count": float(self.people_count),
-        }
+        return _engine_inputs(self.hour, self.dwell_time, self.speed_change_count,
+                              self.direction_change_count, self.people_count)
+
+
+def _engine_inputs(hour: float, dwell_time: float, speed_change_count: int,
+                   direction_change_count: int, people_count: int) -> dict[str, float]:
+    """The fuzzy engine's inputs for one object."""
+    return {
+        "hour": hour,
+        "dwell-time": dwell_time,
+        "speed-changes": float(speed_change_count),
+        "direction-changes": float(direction_change_count),
+        "people-count": float(people_count),
+    }
+
+
+def _score_and_flag(engine: FuzzyEngine, camera_id: str, track_id: int,
+                    inputs: dict[str, float], threshold: float) -> tuple[SuspicionScore, bool]:
+    """Score one object; it alarms when an ok score reaches the threshold.
+
+    Input-error scores are forced to 0 by the engine and never alarm.
+    """
+    score = engine.score_object(inputs, object_id=f"{camera_id}/{track_id}")
+    return score, score.status == STATUS_OK and score.value >= threshold
 
 
 @dataclass(frozen=True)
@@ -123,14 +140,10 @@ def contextualize(record: FeatureRecord, ctx: CameraContext) -> list[Contextuali
 
 def decide(features: ContextualizedFeatures, engine: FuzzyEngine,
            policy: AlarmPolicy, ctx: CameraContext) -> SuspicionReport:
-    """Score one object and apply the context-shifted threshold.
-
-    Input-error scores are forced to 0 by the engine and never alarm.
-    """
-    object_id = f"{features.camera_id}/{features.track_id}"
-    score = engine.score_object(features.engine_inputs(), object_id=object_id)
+    """Score one object and apply the context-shifted threshold."""
     threshold = policy.threshold_for(ctx, features.hour)
-    alarm = score.status == STATUS_OK and score.value >= threshold
+    score, alarm = _score_and_flag(engine, features.camera_id, features.track_id,
+                                   features.engine_inputs(), threshold)
     return SuspicionReport(
         camera_id=features.camera_id,
         track_id=features.track_id,
@@ -159,19 +172,31 @@ class FogPipeline:
         self.cameras[ctx.camera_id] = ctx
 
     def process_record(self, camera_id: str, record: FeatureRecord) -> list[SuspicionReport]:
+        """Decide every object of one record, as ``decide`` would.
+
+        Camera, local hour and threshold are per record, so they are looked
+        up once; each object is scored and logged in record order.
+        """
         ctx = self.cameras.get(camera_id)
         if ctx is None:
             self.error_log.append(camera_id, "record from unknown camera rejected")
             return []
+        camera_id, timestamp, people = ctx.camera_id, record.timestamp, record.people_count
+        hour = hour_of_day(timestamp, ctx)
+        threshold = self.policy.threshold_for(ctx, hour)
         reports = []
-        for features in contextualize(record, ctx):
-            report = decide(features, self.engine, self.policy, ctx)
-            self.decision_log.append(
-                report.timestamp, report.camera_id, report.track_id,
-                report.score.value, report.threshold, report.alarm,
-                report.score.status,
-            )
-            reports.append(report)
+        for obj in record.objects:
+            inputs = _engine_inputs(hour, obj.dwell_time, obj.speed_change_count,
+                                    obj.direction_change_count, people)
+            score, alarm = _score_and_flag(self.engine, camera_id, obj.track_id,
+                                           inputs, threshold)
+            self.decision_log.append(timestamp, camera_id, obj.track_id,
+                                     score.value, threshold, alarm, score.status)
+            reports.append(SuspicionReport(
+                camera_id=camera_id, track_id=obj.track_id,
+                frame_index=record.frame_index, timestamp=timestamp,
+                score=score, threshold=threshold, alarm=alarm,
+            ))
         return reports
 
 

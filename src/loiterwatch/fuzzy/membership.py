@@ -28,6 +28,17 @@ def clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
+def crisp_input(name: str, x: float, domain: tuple[float, float]) -> float:
+    """Validate one crisp input of a variable and clamp it to the domain.
+
+    Non-finite x cannot be clamped meaningfully and raises InputDataError
+    so the enclosing score call can take its input-error path.
+    """
+    if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+        raise InputDataError(f"variable {name!r}: non-finite input {x!r}")
+    return clamp(float(x), *domain)
+
+
 @dataclass(frozen=True)
 class MembershipFunction:
     """One labelled curve: degrees in [0,1] over strictly increasing x."""
@@ -99,15 +110,9 @@ class LinguisticVariable:
         return [m.label for m in self.members]
 
     def fuzzify(self, x: float) -> FuzzifiedValue:
-        """Clamp x to the domain, then evaluate every member at it.
-
-        Non-finite x cannot be clamped meaningfully and raises
-        InputDataError so the enclosing score call can take its
-        input-error path.
-        """
-        if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
-            raise InputDataError(f"variable {self.name!r}: non-finite input {x!r}")
-        crisp = clamp(float(x), *self.domain)
+        """Clamp x to the domain (see ``crisp_input``), then evaluate every
+        member at it."""
+        crisp = crisp_input(self.name, x, self.domain)
         return FuzzifiedValue(
             variable=self.name,
             crisp=crisp,

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 from ..logs import ErrorLog, write_csv
 from ..tracking import FeatureRecord
-from .session import (Session, TransportConfig, make_sender_session,
-                      unwrap_session_key, wrap_session_key)
+from .session import (Session, TransportConfig, load_private_key,
+                      make_sender_session, unwrap_session_key, wrap_session_key)
 from .wire import (KIND_DATA, KIND_HANDSHAKE_ACK, KIND_HANDSHAKE_INIT,
                    MAX_FRAME, MODE_BYTES, MODE_HANDSHAKE, FrameRejected,
                    WireMessage, build_frame, decode_record, encode_record,
@@ -56,6 +56,21 @@ def read_exact(sock: socket.socket, n: int, stop: threading.Event | None = None)
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def peer_closed(sock: socket.socket) -> bool:
+    """Whether the receiver has closed its end of a data link.
+
+    It sends nothing after the handshake ack, so anything readable is its
+    EOF or an error. A record written after that EOF would be accepted by
+    the local socket and then lost without an error.
+    """
+    try:
+        return sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
 
 
 def read_frame(sock: socket.socket, stop: threading.Event | None = None) -> tuple[bytes, bytes] | None:
@@ -113,6 +128,7 @@ class FeatureSender:
         self.config = config
         self.error_log = error_log or ErrorLog()
         self.dropped = 0
+        self._handed = 0  # records written to a socket; only the writer thread counts
         self._queue: queue.Queue = queue.Queue(maxsize=config.window)
         self._buffer: deque = deque()  # [arrival_s, sequence, sent_at, payload]
         self._seq = 0
@@ -200,12 +216,16 @@ class FeatureSender:
             return
         header = pack_header(session.mode_byte, KIND_DATA, seq, sent_at)
         try:
+            if peer_closed(sock):
+                raise ConnectionError("receiver closed the link")
             sock.sendall(build_frame(header, session.seal(header, payload)))
         except OSError as exc:
             log.warning("send failed (seq %d): %s; buffering", seq, exc)
             self._close_socket()
             # Goes back to the buffer front: anything still queued is newer.
             self._buffer.appendleft(item)
+            return
+        self._handed += 1
 
     def _buffer_item(self, item: list) -> None:
         self._buffer.append(item)
@@ -215,17 +235,29 @@ class FeatureSender:
             self.dropped += 1
             self.error_log.append("transport", f"dropped buffered record seq {dropped[1]}")
 
-    def flush(self, timeout: float = 10.0) -> None:
-        """Block until every queued record has been handed to the socket."""
+    def flush(self, timeout: float = 10.0) -> int:
+        """Wait until every record sent so far has been handed to the socket.
+
+        Returns how many records were still queued or buffered at the
+        deadline, 0 once all went out; records dropped from the buffer are
+        counted in ``dropped`` instead. A nonzero count is also logged.
+        """
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self._queue.unfinished_tasks == 0 and (self._sock is None or not self._buffer):
-                return
+        while self._unsent() and time.monotonic() < deadline:
             time.sleep(0.005)
+        pending = self._unsent()
+        if pending:
+            self.error_log.append("transport", f"flush deadline passed with {pending} records not sent")
+        return pending
+
+    def _unsent(self) -> int:
+        """Records given to send_record but neither written nor dropped."""
+        return self._seq - self._handed - self.dropped
 
     def close(self) -> None:
+        """Flush (only while linked: nothing reconnects a down link), then close."""
         if self._writer is not None:
-            self.flush()
+            self.flush(timeout=10.0 if self._sock is not None else 0.0)
             self._queue.put(_STOP)
             self._writer.join(timeout=5.0)
             self._writer = None
@@ -246,12 +278,16 @@ class FogReceiver:
 
     Per camera, sequence numbers must keep increasing: regressions and
     duplicates are rejected, gaps are recorded. Frames failing header or
-    AEAD checks are dropped and counted, never delivered.
+    AEAD checks are dropped and counted, never delivered. In handshake mode
+    the RSA private key is parsed here, once, so a malformed key fails at
+    construction rather than on the first connection.
     """
 
     def __init__(self, config: TransportConfig, on_message=None,
                  error_log: ErrorLog | None = None):
         self.config = config
+        self._private_key = (load_private_key(config)
+                             if config.mode == "handshake-then-symmetric" else None)
         self.on_message = on_message
         self.error_log = error_log or ErrorLog()
         self.latency = LatencyStats()
@@ -330,7 +366,7 @@ class FogReceiver:
             _, mode, kind, _, _ = parse_header(header)
             if mode != MODE_HANDSHAKE or kind != KIND_HANDSHAKE_INIT:
                 raise FrameRejected("expected handshake init")
-            session = unwrap_session_key(self.config, body)
+            session = unwrap_session_key(self.config, body, self._private_key)
         except FrameRejected as exc:
             self._reject(f"handshake failed: {exc}")
             return None

@@ -136,12 +136,27 @@ def wrap_session_key(config: TransportConfig) -> tuple[bytes, HandshakeSession]:
     return wrapped, HandshakeSession(session_key)
 
 
-def unwrap_session_key(config: TransportConfig, wrapped: bytes) -> HandshakeSession:
-    """Receiver side: recover the session key from the init frame."""
+def load_private_key(config: TransportConfig) -> rsa.RSAPrivateKey:
+    """Parse the receiver's RSA private key; a malformed key raises ValueError."""
     if not config.server_private_key_pem:
         raise ValueError("handshake mode requires server_private_key_pem")
-    private_key = serialization.load_pem_private_key(
+    key = serialization.load_pem_private_key(
         config.server_private_key_pem.encode("ascii"), password=None)
+    if not isinstance(key, rsa.RSAPrivateKey):
+        raise ValueError("server_private_key_pem is not an RSA private key")
+    return key
+
+
+def unwrap_session_key(config: TransportConfig, wrapped: bytes,
+                       private_key: rsa.RSAPrivateKey | None = None) -> HandshakeSession:
+    """Receiver side: recover the session key from the init frame.
+
+    Parsing the private key costs far more than the unwrap itself, so a
+    receiver passes the key it parsed once; without one it is parsed from
+    the config.
+    """
+    if private_key is None:
+        private_key = load_private_key(config)
     try:
         session_key = private_key.decrypt(
             wrapped,

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loiterwatch.fuzzy import (
+    And,
     Atom,
     ConfigurationError,
     EngineConfig,
@@ -14,11 +17,15 @@ from loiterwatch.fuzzy import (
     InputDataError,
     LinguisticVariable,
     MembershipFunction,
+    Or,
     Rule,
     STATUS_INPUT_ERROR,
     STATUS_OK,
     config_to_dict,
+    default_config,
 )
+from loiterwatch.fuzzy import engine as engine_module
+from loiterwatch.fuzzy.engine import CENTROID_MEMO_CAP
 
 from oracles import centroid_of_activations, score as oracle_score
 
@@ -183,3 +190,134 @@ def test_envelope_never_exceeds_strongest_weight(engine):
     agg = engine.aggregate({"medium": 0.4, "high": 0.7})
     assert float(agg.envelope.max()) <= 0.7 + 1e-12
     assert set(agg.activations) == {"medium", "high"}
+
+
+# -- the compiled scoring path against the tree walk ------------------------
+
+def tree_walk(engine, inputs):
+    """Score through the public pieces: fuzzify, per-rule premise weights,
+    each label's strongest weight, aggregate, centroid."""
+    env = engine.fuzzify_all(inputs)
+    rules = [r for r in engine.config.rules if r.enabled]
+    weights = {label: max(r.evaluate(env) for r in rules if r.consequent == label)
+               for label in {r.consequent for r in rules}}
+    return engine.defuzzify(engine.aggregate(weights)).value
+
+
+def assert_exact(engine, inputs):
+    expected = tree_walk(engine, inputs)
+    for _ in range(2):  # a memo miss, then a hit
+        result = engine.score_object(inputs)
+        assert result.status == STATUS_OK
+        assert result.value == expected
+
+
+def edge_inputs():
+    """Each input at every breakpoint x, both domain ends and past them,
+    as floats and as ints, the others held at a night-time base."""
+    config = default_config()
+    base = inputs_for(2.0, 12.0, 2.0, 4.0, 3.0)
+    cases = []
+    for name in config.input_names:
+        variable = config.variable(name)
+        lo, hi = variable.domain
+        xs = {x for m in variable.members for x, _ in m.breakpoints}
+        xs |= {lo, hi, lo - 1.0, hi + 7.5, -1e9, 1e9}
+        for x in sorted(xs):
+            cases.append({**base, name: x})
+            if x == int(x):
+                cases.append({**base, name: int(x)})
+    return cases
+
+
+@pytest.mark.parametrize("inputs", edge_inputs())
+def test_compiled_score_equals_tree_walk_at_edges(engine, inputs):
+    assert_exact(engine, inputs)
+
+
+crisp = st.one_of(st.floats(-5, 45, allow_nan=False), st.integers(-5, 45))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hour=st.one_of(st.floats(-2, 26, allow_nan=False), st.integers(-2, 26)),
+       dwell=crisp, speed=crisp, direction=crisp, people=crisp)
+def test_compiled_score_equals_tree_walk(engine, hour, dwell, speed, direction, people):
+    assert_exact(engine, inputs_for(hour, dwell, speed, direction, people))
+
+
+def test_compiled_score_equals_tree_walk_on_nested_rules():
+    """OR under AND under OR, a shared subtree and a one-child node."""
+    from dataclasses import replace
+    config = tiny_config()
+    either = Or((Atom("x", "b"), Atom("x", "c")))
+    rules = (
+        Rule("r1", Atom("x", "a"), "m1"),
+        Rule("r2", And((Atom("x", "a"),)), "m2"),
+        Rule("r3", Or((And((either, Atom("x", "a"))), Atom("x", "c"))), "m3"),
+        Rule("r4", And((either, Atom("x", "b"))), "m3"),
+        Rule("r5", And((Atom("x", "b"), Atom("x", "c"))), "m4", enabled=False),
+    )
+    engine = FuzzyEngine(replace(config, rules=rules))
+    for x in np.linspace(-1.0, 11.0, 241):
+        assert_exact(engine, {"x": float(x)})
+
+
+def test_unknown_atom_rejected_at_construction():
+    from dataclasses import replace
+    config = tiny_config()
+    bad = replace(config, rules=config.rules + (Rule("bad", Atom("x", "nope"), "m1"),))
+    with pytest.raises(ConfigurationError, match="nope"):
+        FuzzyEngine(bad)
+
+
+def test_centroid_memo_never_grows_past_its_cap():
+    engine = FuzzyEngine(tiny_config())
+    n = CENTROID_MEMO_CAP + 50
+    sizes = set()
+    for i in range(1, n + 1):
+        x = 2.0 * i / (n + 1)  # label a's degree 1 - x/2 differs at every x
+        value = engine.score_object({"x": x}).value
+        sizes.add(len(engine._centroids))
+        if i % 97 == 0:
+            assert value == tree_walk(engine, {"x": x})
+    assert max(sizes) == CENTROID_MEMO_CAP
+
+
+def test_shared_engine_scores_match_across_threads(monkeypatch):
+    cap = 16
+    monkeypatch.setattr(engine_module, "CENTROID_MEMO_CAP", cap)
+    inputs = [inputs_for(h, d, s, 1.0, p)
+              for h in (3.0, 6.3, 11.0, 17.2, 22.0)
+              for d in (0.0, 7.5, 17.0, 25.0)
+              for s in (0.0, 2.0, 8.0)
+              for p in (1.0, 4.0, 12.0)]
+    alone = FuzzyEngine(default_config())
+    expected = [alone.score_object(x).value for x in inputs]
+    shared = FuzzyEngine(default_config())
+    results: dict[int, list[float]] = {}
+    sizes: list[int] = []
+
+    def work(k):
+        order = inputs[k:] + inputs[:k]
+        got = []
+        for _ in range(3):
+            for x in order:
+                got.append(shared.score_object(x).value)
+                sizes.append(len(shared._centroids))
+        results[k] = got
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(8):
+        order = expected[k:] + expected[:k]
+        assert results[k] == order * 3
+    assert max(sizes) <= cap

@@ -1,8 +1,10 @@
-"""Pin the suite's outputs across commits.
+"""Pin the suite's outputs and a dense crowd's decision log across commits.
 
-The digests below were recorded from ``run_suite(out, threshold=60.0)``
-with the shipped fuzzy config and policy under numpy 2.4, whose summation
-order the centroid depends on. A change that keeps decisions
+The digests below were recorded from ``run_suite(out, threshold=60.0)`` and
+from an in-process replay of a seeded 30-person crowd, with the shipped
+fuzzy config and policy under numpy 2.4, whose summation order the centroid
+depends on. The suite scores about 1.6 objects per record; the crowd, about
+9, exercises the fog node's per-record loop. A change that keeps decisions
 byte-identical keeps this test green; a change that moves any score, alarm
 or count fails it and must re-record the digests together with an
 explanation of why the outputs moved.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 
-from loiterwatch.harness import run_suite
+from loiterwatch.harness import generate_scenario, replay_scenario, run_suite
 
 SUITE_DIGESTS = {
     "runs/crowd-1300.decisions.csv":
@@ -45,6 +47,9 @@ SUITE_DIGESTS = {
         "9aea93a2dded7eba4958cb755f2154f528e8f35a70c43f0671226f189396e542",
 }
 
+CROWD_ROWS = 3896
+CROWD_DIGEST = "d0fc9c7a06b8d142eacf40ef5e5e1a08a4c51a3905b9e124f7f521a74c2b3409"
+
 
 def test_suite_outputs_match_recorded_digests(tmp_path):
     run_suite(tmp_path, threshold=60.0)
@@ -54,3 +59,11 @@ def test_suite_outputs_match_recorded_digests(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in SUITE_DIGESTS}
     assert got == SUITE_DIGESTS
+
+
+def test_crowd_decision_log_matches_recorded_digest(tmp_path):
+    scenario = generate_scenario("crowd", tmp_path, seed=1, people=30,
+                                 duration=120, jitter=2.0, hour=13)
+    log = replay_scenario(scenario).decision_log
+    assert len(log.rows) == CROWD_ROWS
+    assert hashlib.sha256(log.as_bytes()).hexdigest() == CROWD_DIGEST
