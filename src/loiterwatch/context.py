@@ -82,30 +82,32 @@ class ContextualizedFeatures:
     people_count: int
 
     def engine_inputs(self) -> dict[str, float]:
-        return _engine_inputs(self.hour, self.dwell_time, self.speed_change_count,
-                              self.direction_change_count, self.people_count)
+        return {**_record_inputs(self.hour, self.people_count),
+                **_object_inputs(self.dwell_time, self.speed_change_count,
+                                 self.direction_change_count)}
 
 
-def _engine_inputs(hour: float, dwell_time: float, speed_change_count: int,
-                   direction_change_count: int, people_count: int) -> dict[str, float]:
-    """The fuzzy engine's inputs for one object."""
+def _record_inputs(hour: float, people_count: int) -> dict[str, float]:
+    """The fuzzy engine's inputs that every object of a record shares."""
+    return {"hour": hour, "people-count": float(people_count)}
+
+
+def _object_inputs(dwell_time: float, speed_change_count: int,
+                   direction_change_count: int) -> dict[str, float]:
+    """The fuzzy engine's inputs that are each object's own."""
     return {
-        "hour": hour,
         "dwell-time": dwell_time,
         "speed-changes": float(speed_change_count),
         "direction-changes": float(direction_change_count),
-        "people-count": float(people_count),
     }
 
 
-def _score_and_flag(engine: FuzzyEngine, camera_id: str, track_id: int,
-                    inputs: dict[str, float], threshold: float) -> tuple[SuspicionScore, bool]:
-    """Score one object; it alarms when an ok score reaches the threshold.
+def _alarm(score: SuspicionScore, threshold: float) -> bool:
+    """An object alarms when an ok score reaches the threshold.
 
     Input-error scores are forced to 0 by the engine and never alarm.
     """
-    score = engine.score_object(inputs, object_id=f"{camera_id}/{track_id}")
-    return score, score.status == STATUS_OK and score.value >= threshold
+    return score.status == STATUS_OK and score.value >= threshold
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,8 @@ def decide(features: ContextualizedFeatures, engine: FuzzyEngine,
            policy: AlarmPolicy, ctx: CameraContext) -> SuspicionReport:
     """Score one object and apply the context-shifted threshold."""
     threshold = policy.threshold_for(ctx, features.hour)
-    score, alarm = _score_and_flag(engine, features.camera_id, features.track_id,
-                                   features.engine_inputs(), threshold)
+    score = engine.score_object(features.engine_inputs(),
+                                object_id=f"{features.camera_id}/{features.track_id}")
     return SuspicionReport(
         camera_id=features.camera_id,
         track_id=features.track_id,
@@ -151,7 +153,7 @@ def decide(features: ContextualizedFeatures, engine: FuzzyEngine,
         timestamp=features.timestamp,
         score=score,
         threshold=threshold,
-        alarm=alarm,
+        alarm=_alarm(score, threshold),
     )
 
 
@@ -175,21 +177,25 @@ class FogPipeline:
         """Decide every object of one record, as ``decide`` would.
 
         Camera, local hour and threshold are per record, so they are looked
-        up once; each object is scored and logged in record order.
+        up once, and the record's objects are scored together with hour
+        and people count as their shared inputs. Each object is logged in
+        record order.
         """
         ctx = self.cameras.get(camera_id)
         if ctx is None:
             self.error_log.append(camera_id, "record from unknown camera rejected")
             return []
-        camera_id, timestamp, people = ctx.camera_id, record.timestamp, record.people_count
+        camera_id, timestamp, objects = ctx.camera_id, record.timestamp, record.objects
         hour = hour_of_day(timestamp, ctx)
         threshold = self.policy.threshold_for(ctx, hour)
+        scores = self.engine.score_record(
+            _record_inputs(hour, record.people_count),
+            [_object_inputs(obj.dwell_time, obj.speed_change_count,
+                            obj.direction_change_count) for obj in objects],
+            [f"{camera_id}/{obj.track_id}" for obj in objects])
         reports = []
-        for obj in record.objects:
-            inputs = _engine_inputs(hour, obj.dwell_time, obj.speed_change_count,
-                                    obj.direction_change_count, people)
-            score, alarm = _score_and_flag(self.engine, camera_id, obj.track_id,
-                                           inputs, threshold)
+        for obj, score in zip(objects, scores):
+            alarm = _alarm(score, threshold)
             self.decision_log.append(timestamp, camera_id, obj.track_id,
                                      score.value, threshold, alarm, score.status)
             reports.append(SuspicionReport(

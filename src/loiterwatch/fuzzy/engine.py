@@ -9,13 +9,17 @@ per rule gives the same envelope, because max_i min(w_i, c) == min(max_i
 w_i, c) at every grid point. Defuzzification is the centroid of that
 envelope on the same grid.
 
-``score_object`` runs a form of this compiled when the engine is built: a
-flat degree list indexed by (variable, label), each enabled rule's
-antecedent as nested index tuples over that list, and a bounded centroid
-memo keyed on the per-label weights, so ``aggregate`` and ``defuzzify`` run
-only for a weight vector not seen before. It computes the same floats as the
-tree walk over ``fuzzify_all``, ``Rule.evaluate``, ``aggregate`` and
-``defuzzify``, so its scores are bit-identical to that walk's.
+``score_record`` runs a form of this compiled when the engine is built: a
+flat degree list with one slot per (variable, label), then one flat step
+list in which each distinct AND/OR node, and each label's max over its
+premises, is one (min|max, child slots) step writing the next slot. Per
+record, the inputs shared by all its objects are fuzzified once and folded
+into the step list; the folded list is memoized on which of their degrees
+are > 0, and the folded values are computed per record. Each object then
+fuzzifies only its own inputs and runs the residual steps. A bounded centroid memo keyed on the per-label weights means
+``aggregate`` and ``defuzzify`` run only for a weight vector not seen
+before. Scores are bit-identical to the tree walk over ``fuzzify_all``,
+``Rule.evaluate``, ``aggregate`` and ``defuzzify``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import itemgetter
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,9 +43,11 @@ STATUS_INPUT_ERROR = "input-error"
 
 DEFAULT_GRID_RESOLUTION = 1001
 
-# Most distinct per-label weight vectors an engine keeps centroids for. A
-# full memo is emptied and refills, so it follows a drifting input mix.
-# Streams need far fewer: a 30-person, 120 s crowd yields 285 vectors.
+# Most entries each of an engine's two memos keeps: centroids per distinct
+# per-label weight vector, and folded step lists per split of the inputs
+# and pattern of positive shared degrees. A full memo is emptied and refills, so it follows a
+# drifting input mix. Streams need far fewer: a 30-person, 120 s crowd
+# yields 285 weight vectors.
 CENTROID_MEMO_CAP = 4096
 
 
@@ -117,9 +124,20 @@ def _compile_member(member: MembershipFunction) -> tuple:
     )
 
 
-def _compile_antecedent(node: Antecedent, slots: Mapping[tuple[str, str], int]):
-    """An atom becomes its slot in the flat degree list; AND and OR become
-    (min, children) and (max, children), children in tree order."""
+def _step(op, children: tuple[int, ...], steps: dict, base: int) -> int:
+    """Slot of the value op(children), appending a step for a node not seen
+    before; the step list starts writing at slot ``base``. A node with one
+    child is that child."""
+    if len(children) == 1:
+        return children[0]
+    return steps.setdefault((op, children), base + len(steps))
+
+
+def _compile_antecedent(node: Antecedent, slots: Mapping[tuple[str, str], int],
+                        steps: dict) -> int:
+    """Slot of an antecedent's weight. An atom is its input slot; AND and OR
+    become (min, child slots) and (max, child slots) steps, children in tree
+    order, shared by every rule that repeats the node."""
     if isinstance(node, Atom):
         try:
             return slots[(node.variable, node.label)]
@@ -127,15 +145,8 @@ def _compile_antecedent(node: Antecedent, slots: Mapping[tuple[str, str], int]):
             raise ConfigurationError(
                 f"antecedent references unknown input {node.variable!r} "
                 f"label {node.label!r}") from None
-    return (min if isinstance(node, And) else max,
-            tuple(_compile_antecedent(c, slots) for c in node.children))
-
-
-def _premise(node: tuple, degrees: list[float]) -> float:
-    """Weight of a compiled AND or OR node."""
-    op, children = node
-    return op([degrees[c] if c.__class__ is int else _premise(c, degrees)
-               for c in children])
+    children = tuple(_compile_antecedent(c, slots, steps) for c in node.children)
+    return _step(min if isinstance(node, And) else max, children, steps, len(slots))
 
 
 @dataclass
@@ -166,15 +177,20 @@ class FuzzyEngine:
             plan.append((name, variable.domain,
                          tuple(_compile_member(m) for m in variable.members)))
         self._fuzzify_plan = tuple(plan)
-        premises: dict[str, list] = {label: [] for label in self._curves}
+        steps: dict[tuple, int] = {}
+        premises: dict[str, list[int]] = {label: [] for label in self._curves}
         for rule in self.config.rules:
             if rule.enabled:
-                premises[rule.consequent].append(_compile_antecedent(rule.antecedent, slots))
+                premises[rule.consequent].append(
+                    _compile_antecedent(rule.antecedent, slots, steps))
         fired = {label: tuple(p) for label, p in premises.items() if p}
         self._weight_labels = tuple(fired)
-        self._label_premises = tuple(fired.values())
+        # Each label's weight, the max over its premises, is one more step.
+        self._weight_slots = tuple(_step(max, p, steps, len(slots)) for p in fired.values())
+        self._steps = tuple(steps)  # (op, child slots), writing slots len(slots)...
+        self._programs: dict[tuple, tuple] = {}
         self._centroids: dict[tuple[float, ...], SuspicionScore] = {}
-        self._centroids_lock = threading.Lock()
+        self._memo_lock = threading.Lock()
 
     @property
     def grid(self) -> np.ndarray:
@@ -212,12 +228,12 @@ class FuzzyEngine:
         value = float((agg.grid * agg.envelope).sum() / mass)
         return SuspicionScore(value=value)
 
-    def _degrees(self, inputs: Mapping[str, float]) -> list[float]:
-        """Every input member's degree, in (variable, label) slot order,
-        each computed as ``MembershipFunction.evaluate`` computes it."""
-        degrees: list[float] = []
+    def _fuzzify(self, inputs: Mapping[str, float], plan: tuple, degrees: list[float]) -> None:
+        """Append the degree of every member of the variables in ``plan``,
+        in slot order, each computed as ``MembershipFunction.evaluate``
+        computes it."""
         append = degrees.append
-        for name, domain, members in self._fuzzify_plan:
+        for name, domain, members in plan:
             if name not in inputs:
                 raise InputDataError(f"missing input {name!r}")
             x = crisp_input(name, inputs[name], domain)
@@ -229,8 +245,152 @@ class FuzzyEngine:
                 else:
                     k = bisect_right(xs, x) - 1
                     x0 = xs[k]
-                    append(ds[k] if x == x0 else ds[k] + dds[k] * (x - x0) / dxs[k])
-        return degrees
+                    if x == x0:
+                        append(ds[k])
+                    else:
+                        d = ds[k] + dds[k] * (x - x0) / dxs[k]
+                        append(d if 0.0 <= d <= 1.0 else (0.0 if d < 0.0 else 1.0))
+
+    def _specialize(self, split: tuple[bool, ...], positive: tuple[bool, ...]) -> tuple:
+        """The step list folded on the shared inputs, for every record
+        whose shared degrees are > 0 exactly where ``positive`` says.
+
+        ``split`` marks the shared variables. A step whose children are all
+        shared is computed once per record, before any object, and so is
+        the op over the shared children of a mixed step. A min whose shared
+        part is <= 0 is then that part; a max drops its shared part when
+        that is <= 0, and otherwise takes it as one more child. Whether a
+        min or max of shared degrees is > 0 follows from which of them are
+        > 0, so the folded layout depends only on ``positive``, which takes
+        a handful of values where the degrees themselves take one per
+        record on a membership ramp.
+
+        Returns (shared steps, per-object plan, residual steps, weight
+        slots) over a degree list laid out as the shared degrees, the
+        shared steps' values, the per-object input degrees, then one slot
+        per residual step.
+
+        min and max are exact, so a folded value equals the value the full
+        list would compute, up to the sign of a zero. The two folds at
+        <= 0 can differ from it only where both values are <= 0; through
+        min and max that stays true of every weight they feed, and
+        ``aggregate`` skips every weight <= 0, so scores do not change.
+        """
+        shared: dict[int, int] = {}  # step-list slot -> shared value index
+        local: dict[int, int] = {}  # per-object degree j and residual step k as j, P + k
+        signs = list(positive)  # whether each shared value is > 0
+        shared_steps: list[tuple] = []
+
+        def fold(op, refs: list[int]) -> int:
+            """Index of the shared value op(refs), adding a shared step."""
+            if len(refs) == 1:
+                return refs[0]
+            shared_steps.append((op, refs))
+            signs.append((all if op is min else any)(signs[r] for r in refs))
+            return len(signs) - 1
+
+        plan = []
+        slots = 0
+        for is_shared, entry in zip(split, self._fuzzify_plan):
+            if not is_shared:
+                plan.append(entry)
+            for slot in range(slots, slots + len(entry[2])):
+                if is_shared:
+                    shared[slot] = len(shared)
+                else:
+                    local[slot] = len(local)
+            slots += len(entry[2])
+        base = len(local)
+        residual: list[tuple] = []
+        for slot, (op, children) in enumerate(self._steps, slots):
+            values = [shared[c] for c in children if c in shared]
+            if len(values) == len(children):
+                shared[slot] = fold(op, values)
+                continue
+            refs = [local[c] for c in children if c not in shared]
+            if values:
+                value = fold(op, values)
+                if signs[value]:
+                    refs.append(-1 - value)
+                elif op is min:
+                    shared[slot] = value
+                    continue
+            if len(refs) == 1:
+                local[slot] = refs[0]
+            else:
+                local[slot] = base + len(residual)
+                residual.append((op, refs))
+        weights = [-1 - shared[s] if s in shared else local[s] for s in self._weight_slots]
+
+        def place(ref: int) -> int:
+            return ref + len(signs) if ref >= 0 else -1 - ref
+
+        return (tuple((op, itemgetter(*refs)) for op, refs in shared_steps), tuple(plan),
+                tuple((op, itemgetter(*map(place, refs))) for op, refs in residual),
+                tuple(map(place, weights)))
+
+    def _remember(self, memo: dict, key: tuple, value):
+        """Store a memo entry, emptying a full memo first; returns value."""
+        with self._memo_lock:
+            if len(memo) >= CENTROID_MEMO_CAP:
+                memo.clear()
+            memo[key] = value
+        return value
+
+    def score_record(self, shared: Mapping[str, float],
+                     objects: Sequence[Mapping[str, float]],
+                     object_ids: Sequence[str]) -> list[SuspicionScore]:
+        """Score every object of one record; equal to ``score_object`` on
+        each object's inputs merged with ``shared``.
+
+        ``shared`` holds the inputs common to all objects (a value there
+        overrides an object's own). They are fuzzified once and folded
+        into the rule program, so each object evaluates only what depends
+        on its own inputs. An object whose inputs fail, shared ones
+        included, gets what ``score_object`` gives it: input-error, value 0,
+        the same detail, and one error-log line under its id.
+        """
+        if not objects:
+            return []
+        split = tuple(name in shared for name, _, _ in self._fuzzify_plan)
+        values: list[float] = []
+        try:
+            self._fuzzify(shared, tuple(e for e, s in zip(self._fuzzify_plan, split) if s),
+                          values)
+        except InputDataError:
+            return [self.score_object({**inputs, **shared}, object_ids[i])
+                    for i, inputs in enumerate(objects)]
+        key = (split, tuple([d > 0.0 for d in values]))
+        program = self._programs.get(key)
+        if program is None:
+            program = self._remember(self._programs, key, self._specialize(*key))
+        shared_steps, plan, steps, weight_slots = program
+        append = values.append
+        for op, children in shared_steps:
+            append(op(children(values)))
+        centroids = self._centroids
+        scores = []
+        for i, inputs in enumerate(objects):
+            degrees = values.copy()
+            try:
+                self._fuzzify(inputs, plan, degrees)
+            except InputDataError as exc:
+                # The shared inputs are valid, so this is the first bad
+                # input in variable order, as score_object would report.
+                self.error_log.append(object_ids[i] or "-", str(exc))
+                scores.append(SuspicionScore(value=0.0, status=STATUS_INPUT_ERROR,
+                                             error_detail=str(exc)))
+                continue
+            append = degrees.append
+            for op, children in steps:
+                append(op(children(degrees)))
+            weights = tuple([degrees[s] for s in weight_slots])
+            score = centroids.get(weights)
+            if score is None:
+                score = self._remember(centroids, weights, self.defuzzify(
+                    self.aggregate(dict(zip(self._weight_labels, weights)))))
+            scores.append(score)
+        return scores
 
     def score_object(self, inputs: Mapping[str, float], object_id: str = "") -> SuspicionScore:
         """Score one object's feature inputs on the output scale.
@@ -239,19 +399,4 @@ class FuzzyEngine:
         input-error with value exactly 0 and appends one error-log line;
         alarms are never raised from such scores.
         """
-        try:
-            degrees = self._degrees(inputs)
-        except InputDataError as exc:
-            self.error_log.append(object_id or "-", str(exc))
-            return SuspicionScore(value=0.0, status=STATUS_INPUT_ERROR, error_detail=str(exc))
-        weights = tuple([
-            max([degrees[n] if n.__class__ is int else _premise(n, degrees) for n in nodes])
-            for nodes in self._label_premises])
-        score = self._centroids.get(weights)
-        if score is None:
-            score = self.defuzzify(self.aggregate(dict(zip(self._weight_labels, weights))))
-            with self._centroids_lock:
-                if len(self._centroids) >= CENTROID_MEMO_CAP:
-                    self._centroids.clear()
-                self._centroids[weights] = score
-        return score
+        return self.score_record({}, [inputs], [object_id])[0]

@@ -71,7 +71,9 @@ class MembershipFunction:
             if x == x0:
                 return d0
             if x0 < x < x1:
-                return d0 + (d1 - d0) * (x - x0) / (x1 - x0)
+                d = d0 + (d1 - d0) * (x - x0) / (x1 - x0)
+                # Rounding can carry d one ulp past 0 or 1 near a segment end.
+                return d if 0.0 <= d <= 1.0 else (0.0 if d < 0.0 else 1.0)
         return pts[-1][1]
 
     __call__ = evaluate

@@ -119,10 +119,11 @@ def replay_scenario(scenario: Scenario,
                     time.sleep(1.0 / scenario.fps)
                 record = extractor.process_frame(rows, frame, timestamp)
                 sender.send_record(record, scenario.camera.camera_id)
-            sender.flush()
+            # Records the sender never handed to its socket cannot arrive.
+            unsent = sender.flush()
             deadline = time.monotonic() + 30.0
             while (len(receiver.latency.samples) + receiver.rejected + receiver.duplicates
-                   < len(ticks) and time.monotonic() < deadline):
+                   < len(ticks) - unsent and time.monotonic() < deadline):
                 time.sleep(0.005)
         finally:
             sender.close()
@@ -130,7 +131,8 @@ def replay_scenario(scenario: Scenario,
         delivered = len(receiver.latency.samples)
         if delivered < len(ticks):
             raise RuntimeError(
-                f"loopback replay incomplete: sent {len(ticks)}, delivered {delivered}, "
+                f"loopback replay incomplete, {unsent} never left the sender: "
+                f"sent {len(ticks)}, delivered {delivered}, "
                 f"rejected {receiver.rejected}, duplicates {receiver.duplicates}, "
                 f"gaps {len(receiver.gaps)}")
     result.stats.wall_s = time.perf_counter() - started

@@ -186,11 +186,24 @@ def greedy_iou_match(tracks: dict[int, TrackState], detections: list[Detection],
 
     Ties break on (track_id, detection index) so matching is deterministic.
     Returns (matches, unmatched track ids, unmatched detection indices).
+    Each box's corners and area are taken once; each pair's IOU is then
+    ``iou`` inlined, the same expressions in the same order.
     """
+    boxes = [(x, y, x + w, y + h, w * h) for x, y, w, h in (d.box for d in detections)]
     pairs = []
     for tid, track in tracks.items():
-        for di, det in enumerate(detections):
-            score = iou(track.box, det.box)
+        ax0, ay0, aw, ah = track.box
+        ax1, ay1, a_area = ax0 + aw, ay0 + ah, aw * ah
+        for di, (bx0, by0, bx1, by1, b_area) in enumerate(boxes):
+            # min() and max() keep their first argument on a tie.
+            iw = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+            ih = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
+            if iw <= 0.0 or ih <= 0.0:
+                score = 0.0
+            else:
+                inter = iw * ih
+                union = a_area + b_area - inter
+                score = 0.0 if union <= 0.0 else inter / union
             if score >= iou_threshold:
                 pairs.append((-score, tid, di))
     pairs.sort()

@@ -1,7 +1,9 @@
 """TCP sender and receiver for feature records.
 
 The sender runs a writer thread behind a bounded queue (the in-flight
-window): callers block on send_record once the window is full. While the
+window): callers block on send_record once the window is full. The writer
+sends every record already queued with one write, so a busy link costs
+few syscalls and thread switches per record. While the
 link is down records accumulate in a deque spanning at most the configured
 buffer seconds; older records are dropped oldest-first and counted.
 Sequence numbers keep increasing across reconnects so the receiver's
@@ -10,6 +12,7 @@ per-camera gap tracking reports exactly what was lost.
 
 from __future__ import annotations
 
+import gc
 import logging
 import queue
 import socket
@@ -192,40 +195,63 @@ class FeatureSender:
     def _writer_loop(self) -> None:
         while True:
             if self._sock is not None and self._buffer:
-                item = self._buffer.popleft()
-                self._transmit(item)
+                count = min(len(self._buffer), self.config.window)
+                self._transmit([self._buffer.popleft() for _ in range(count)])
                 continue
-            item = self._queue.get()
-            if item is _STOP:
-                self._queue.task_done()
-                return
+            batch, stop = self._take_queued()
             if self._sock is not None and not self._buffer:
-                self._transmit(item)
+                self._transmit(batch)
             else:
                 # A backlog exists (or the link is down): joining its tail
                 # keeps records in sequence order across reconnects.
-                self._buffer_item(item)
-            self._queue.task_done()
+                for item in batch:
+                    self._buffer_item(item)
+            for _ in range(len(batch) + stop):
+                self._queue.task_done()
+            if stop:
+                return
 
-    def _transmit(self, item: list) -> None:
-        _, seq, sent_at, payload = item
+    def _take_queued(self) -> tuple[list, bool]:
+        """Block for one queued record, then take those already waiting
+        behind it, up to a window's worth; True once the stop marker is met."""
+        batch: list = []
+        item = self._queue.get()
+        while item is not _STOP:
+            batch.append(item)
+            if len(batch) == self.config.window:
+                return batch, False
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return batch, False
+        return batch, True
+
+    def _transmit(self, batch: list) -> None:
+        """Write a run of records with one send; on failure they return,
+        in order, to the buffer front (anything still queued is newer)."""
+        if not batch:
+            return
         with self._lock:
             sock, session = self._sock, self._session
         if sock is None or session is None:
-            self._buffer_item(item)
+            # The link went down after the writer looked; a run taken from
+            # the buffer front must go back there to keep sequence order.
+            self._buffer.extendleft(reversed(batch))
             return
-        header = pack_header(session.mode_byte, KIND_DATA, seq, sent_at)
+        frames = []
+        for _, seq, sent_at, payload in batch:
+            header = pack_header(session.mode_byte, KIND_DATA, seq, sent_at)
+            frames.append(build_frame(header, session.seal(header, payload)))
         try:
             if peer_closed(sock):
                 raise ConnectionError("receiver closed the link")
-            sock.sendall(build_frame(header, session.seal(header, payload)))
+            sock.sendall(b"".join(frames))
         except OSError as exc:
-            log.warning("send failed (seq %d): %s; buffering", seq, exc)
+            log.warning("send failed (seq %d-%d): %s; buffering", batch[0][1], batch[-1][1], exc)
             self._close_socket()
-            # Goes back to the buffer front: anything still queued is newer.
-            self._buffer.appendleft(item)
+            self._buffer.extendleft(reversed(batch))
             return
-        self._handed += 1
+        self._handed += len(batch)
 
     def _buffer_item(self, item: list) -> None:
         self._buffer.append(item)
@@ -443,20 +469,48 @@ def measure_latency(config: TransportConfig, records: list[FeatureRecord],
                     camera_id: str = "bench",
                     timeout: float = 30.0) -> tuple[LatencyStats, list[FeatureRecord]]:
     """Loopback round: stream records through a local receiver, return
-    (latency stats, decoded records in arrival order)."""
-    receiver = FogReceiver(config)
+    (latency stats, decoded records in arrival order).
+
+    At most ``config.window`` records are between send_record and delivery.
+    Without that bound the socket buffers let the sender run hundreds of
+    records ahead for the same input, and the mean measured that backlog
+    rather than the link. A full window is refilled once half of it has
+    been delivered, so records move in runs rather than one thread switch
+    per record. The caller's garbage is collected before streaming, so a
+    full collection of a large heap left by earlier work does not fall due
+    in the middle of the round.
+    """
+    delivered: list[FeatureRecord] = []
+    refill = threading.Condition()
+    low = config.window // 2
+    sent = 0
+
+    def on_message(message: WireMessage) -> None:
+        delivered.append(message.record)
+        if sent - len(delivered) <= low:
+            with refill:
+                refill.notify()
+
+    receiver = FogReceiver(config, on_message=on_message)
     receiver.start()
     sender_config = replace(config, port=receiver.port)
     sender = FeatureSender(sender_config)
     sender.connect()
+    deadline = time.monotonic() + timeout
+    gc.collect()
     try:
         for record in records:
+            if sent - len(delivered) >= config.window:
+                with refill:
+                    if not refill.wait_for(lambda: sent - len(delivered) <= low,
+                                           timeout=max(0.0, deadline - time.monotonic())):
+                        break
+            sent += 1
             sender.send_record(record, camera_id)
-        sender.flush(timeout=timeout)
-        deadline = time.monotonic() + timeout
-        while receiver.message_count < len(records) and time.monotonic() < deadline:
+        sender.flush(timeout=max(0.0, deadline - time.monotonic()))
+        while len(delivered) < sent and time.monotonic() < deadline:
             time.sleep(0.002)
     finally:
         sender.close()
         receiver.stop()
-    return receiver.latency, [m.record for m in receiver.messages]
+    return receiver.latency, delivered

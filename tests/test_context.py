@@ -152,6 +152,19 @@ class TestFogPipeline:
         assert len(pipeline.error_log.entries) == 1
         assert pipeline.decision_log.rows == []
 
+    def test_record_decisions_equal_decide(self, pipeline):
+        objects = (ObjectFeatures(1, 25.0, 2, 4), ObjectFeatures(2, math.nan, 0, 0),
+                   ObjectFeatures(3, 7.5, 8, 1))
+        record = FeatureRecord(frame_index=10, timestamp=3600.0 * 3, people_count=3,
+                               objects=objects)
+        reports = pipeline.process_record("cam-1", record)
+        alone = FuzzyEngine(default_config())
+        assert reports == [decide(f, alone, pipeline.policy, cam())
+                           for f in contextualize(record, cam())]
+        assert ([entry[1:] for entry in pipeline.error_log.entries]
+                == [entry[1:] for entry in alone.error_log.entries])
+        assert [entry[1] for entry in pipeline.error_log.entries] == ["cam-1/2"]
+
     def test_decision_log_row_shape(self, pipeline):
         pipeline.process_record("cam-1", record_with(dwell=25.0))
         row = pipeline.decision_log.rows[0]

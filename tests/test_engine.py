@@ -125,6 +125,23 @@ def tiny_config():
     return EngineConfig(variables=(x, out), output="y", rules=rules)
 
 
+def test_compiled_degrees_stay_in_unit_range():
+    # A segment a few ulps wide, where two roundings give -1.1e-16 unclamped.
+    probe = -3.759536642724022e-141
+    config = tiny_config()
+    x = LinguisticVariable("x", (-1.0, 10.0), (
+        MembershipFunction("a", ((-1.0, 0.0), (-6.358998188622e-113, 0.8548399773663629),
+                                 (0.0, 0.0))),
+        *config.variable("x").members[1:],
+    ))
+    engine = FuzzyEngine(EngineConfig(variables=(x, config.variable("y")), output="y",
+                                      rules=config.rules))
+    degrees = []
+    engine._fuzzify({"x": probe}, engine._fuzzify_plan, degrees)
+    assert degrees[0] == 0.0
+    assert degrees == list(x.fuzzify(probe).degrees.values())
+
+
 def test_silent_rule_base_scores_zero():
     engine = FuzzyEngine(tiny_config())
     result = engine.score_object({"x": 9.0})
@@ -321,3 +338,124 @@ def test_shared_engine_scores_match_across_threads(monkeypatch):
         order = expected[k:] + expected[:k]
         assert results[k] == order * 3
     assert max(sizes) <= cap
+
+
+# -- score_record: a record's objects against the tree walk -----------------
+
+PIPELINE_SHARED = ("hour", "people-count")  # what FogPipeline.process_record shares
+SPLITS = pytest.mark.parametrize("shared_names", [PIPELINE_SHARED, ()],
+                                 ids=["pipeline-split", "empty-split"])
+
+
+def as_record(objects, shared_names):
+    """(shared, per-object inputs) for objects agreeing on shared_names."""
+    shared = {name: objects[0][name] for name in shared_names}
+    own = [{k: v for k, v in o.items() if k not in shared_names} for o in objects]
+    return shared, own
+
+
+def assert_record_exact(engine, objects, shared_names):
+    shared, own = as_record(objects, shared_names)
+    ids = [f"cam/{i}" for i in range(len(own))]
+    expected = [tree_walk(engine, o) for o in objects]
+    for _ in range(2):  # a specialization memo miss, then a hit
+        scores = engine.score_record(shared, own, ids)
+        assert [s.status for s in scores] == [STATUS_OK] * len(objects)
+        assert [s.value for s in scores] == expected
+
+
+# Flat regions and every ramp of the hour's members, ramp ends included.
+HOURS = (0.0, 2.0, 5.0, 5.5, 6.25, 7.0, 11.0, 16.0, 16.75, 18.0, 19.5, 21.0,
+         21.3, 22.0, 23.0, 23.5, 24.0)
+PEOPLE = (0.0, 1.0, 3.0, 4.5, 5.0, 9.0, 12.0)
+OWN = [dict(zip(("dwell-time", "speed-changes", "direction-changes"), v))
+       for v in ((0.0, 0.0, 0.0), (7.5, 2.0, 4.0), (12.0, 3.0, 1.0),
+                 (17.5, 8.0, 7.0), (25.0, 12.0, 0.0), (30.0, 1.0, 10.0))]
+
+
+@SPLITS
+@pytest.mark.parametrize("hour", HOURS)
+def test_score_record_equals_tree_walk(engine, shared_names, hour):
+    for people in PEOPLE:
+        objects = [{"hour": hour, "people-count": people, **own} for own in OWN]
+        assert_record_exact(engine, objects, shared_names)  # many objects
+        assert_record_exact(engine, objects[2:3], shared_names)  # one
+
+
+@SPLITS
+def test_score_record_equals_tree_walk_at_edges(engine, shared_names):
+    records: dict[tuple, list] = {}
+    for inputs in edge_inputs():
+        assert_record_exact(engine, [inputs], shared_names)
+        key = tuple(repr(inputs[name]) for name in PIPELINE_SHARED)
+        records.setdefault(key, []).append(inputs)
+    for objects in records.values():
+        assert_record_exact(engine, objects, shared_names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hour=st.one_of(st.floats(-2, 26, allow_nan=False), st.integers(-2, 26)),
+       people=crisp,
+       own=st.lists(st.tuples(crisp, crisp, crisp), min_size=1, max_size=8))
+def test_score_record_equals_tree_walk_on_random_records(engine, hour, people, own):
+    objects = [inputs_for(hour, d, s, c, people) for d, s, c in own]
+    assert_record_exact(engine, objects, PIPELINE_SHARED)
+
+
+def test_empty_record_scores_nothing(config):
+    engine = FuzzyEngine(config)
+    assert engine.score_record({"hour": 3.0, "people-count": 1.0}, [], []) == []
+    assert engine.score_record({"hour": math.nan}, [], []) == []
+    assert engine.error_log.entries == []
+
+
+OWN_OK = {"dwell-time": 12.0, "speed-changes": 3.0, "direction-changes": 1.0}
+
+
+@pytest.mark.parametrize("shared,objects", [
+    # A bad shared input fails every object; each reports its first bad
+    # input in variable order, which for the second is its own.
+    ({"hour": 3.0, "people-count": math.nan},
+     [OWN_OK, {**OWN_OK, "speed-changes": math.inf}, OWN_OK]),
+    ({"hour": math.nan, "people-count": 3.0}, [OWN_OK, OWN_OK]),
+    ({"hour": 3.0}, [OWN_OK]),  # people-count missing
+    # A bad per-object input fails that object only.
+    ({"hour": 3.0, "people-count": 2.0},
+     [OWN_OK, {**OWN_OK, "dwell-time": math.nan}, OWN_OK,
+      {"dwell-time": 1.0, "speed-changes": 2.0}]),
+], ids=["nan-people", "nan-hour", "missing-shared", "bad-objects"])
+def test_score_record_errors_match_score_object(config, shared, objects):
+    ids = [f"cam/{i}" for i in range(len(objects))]
+    by_record = FuzzyEngine(config)
+    got = by_record.score_record(shared, objects, ids)
+    by_object = FuzzyEngine(config)
+    want = [by_object.score_object({**o, **shared}, object_id=i) for o, i in zip(objects, ids)]
+    assert got == want
+    assert STATUS_INPUT_ERROR in {s.status for s in got}
+    assert ([entry[1:] for entry in by_record.error_log.entries]
+            == [entry[1:] for entry in by_object.error_log.entries])
+
+
+def test_specialization_memo_keys_on_positive_degrees():
+    # Each x on label a's ramp gives a new degree of a, but the same
+    # pattern of positive degrees (a and b), so the records share a program.
+    engine = FuzzyEngine(tiny_config())
+    for i in range(1, 200):
+        x = 2.0 * i / 200
+        (score,) = engine.score_record({"x": x}, [{}], ["cam/1"])
+        assert score.value == tree_walk(engine, {"x": x})
+    assert len(engine._programs) == 1
+
+
+def test_specialization_memo_never_grows_past_its_cap(monkeypatch):
+    cap = 3
+    monkeypatch.setattr(engine_module, "CENTROID_MEMO_CAP", cap)
+    engine = FuzzyEngine(tiny_config())
+    # One x per pattern of positive degrees: a; a, b; b; b, c; c.
+    xs = (0.0, 1.0, 5.0, 9.0, 10.0)
+    sizes = set()
+    for x in xs * 3:
+        (score,) = engine.score_record({"x": x}, [{}], ["cam/1"])
+        sizes.add(len(engine._programs))
+        assert score.value == tree_walk(engine, {"x": x})
+    assert max(sizes) == cap

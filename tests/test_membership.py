@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from loiterwatch.fuzzy import (
     HOLD,
@@ -80,6 +80,10 @@ def test_rejects_unsorted_and_short_breakpoints():
     left=st.booleans(),
     right=st.booleans(),
 )
+# A segment a few ulps wide, where (d1 - d0) * (x - x0) / (x1 - x0) rounds
+# twice and, unclamped, the degree is -1.1e-16.
+@example(xs=[0.0, -1.0, -6.358998188622e-113], ys=[0.0, 0.8548399773663629] + [0.0] * 6,
+         probe=-3.759536642724022e-141, left=False, right=False)
 def test_evaluate_matches_interpolation_oracle(xs, ys, probe, left, right):
     points = tuple(zip(sorted(xs), ys))
     mf = MembershipFunction(

@@ -121,3 +121,49 @@ def test_loopback_replay_raises_when_a_frame_is_lost(night_loiter, monkeypatch):
                        r"gaps \d+$", str(excinfo.value))
     assert counts, str(excinfo.value)
     assert int(counts[2]) == int(counts[1]) - 1
+
+
+def test_loopback_replay_names_records_left_unsent(night_loiter, monkeypatch):
+    import re
+    import time
+
+    from loiterwatch.harness import replay as replay_module
+    from loiterwatch.transport import FeatureSender, FogReceiver
+
+    receivers = []
+    stop_after = 20
+
+    class Receiver(FogReceiver):
+        def start(self):
+            super().start()
+            receivers.append(self)
+
+    class Sender(FeatureSender):
+        def send_record(self, record, camera_id):
+            seq = super().send_record(record, camera_id)
+            if seq == stop_after:
+                # Stop the receiver once it holds the first records, so
+                # every later record stays with the sender.
+                assert self.flush() == 0
+                deadline = time.monotonic() + 5.0
+                while (len(receivers[0].latency.samples) < stop_after
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                receivers[0].stop()
+            return seq
+
+        def flush(self, timeout=10.0):
+            return super().flush(timeout=min(timeout, 0.5))
+
+    monkeypatch.setattr(replay_module, "FogReceiver", Receiver)
+    monkeypatch.setattr(replay_module, "FeatureSender", Sender)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="loopback replay incomplete") as excinfo:
+        replay_scenario(night_loiter, transport=TransportConfig(mode="plaintext"))
+    assert time.monotonic() - started < 10.0
+    counts = re.search(r"(\d+) never left the sender: sent (\d+), delivered (\d+), "
+                       r"rejected 0, duplicates 0, gaps 0$", str(excinfo.value))
+    assert counts, str(excinfo.value)
+    unsent, sent, delivered = map(int, counts.groups())
+    assert delivered == stop_after
+    assert unsent == sent - stop_after > 0

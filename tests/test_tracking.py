@@ -117,24 +117,34 @@ def test_greedy_differs_from_optimal_here():
     assert unmatched_d == [1]
 
 
-@given(
-    tracks_xy=st.lists(st.tuples(st.floats(0, 300), st.floats(0, 300)),
-                       min_size=0, max_size=4),
-    dets_xy=st.lists(st.tuples(st.floats(0, 300), st.floats(0, 300)),
-                     min_size=0, max_size=4),
+# Person-sized boxes as the stream has them, and boxes of any size,
+# zero and negative width and height included.
+box = st.one_of(
+    st.builds(box_at, st.floats(0, 300), st.floats(0, 300)),
+    st.tuples(st.floats(0, 80), st.floats(0, 80),
+              st.one_of(st.floats(-20, 60), st.sampled_from([0.0, -0.0, -5.0])),
+              st.one_of(st.floats(-20, 60), st.sampled_from([0.0, -0.0, -5.0]))),
 )
-def test_greedy_matches_enumeration_oracle(tracks_xy, dets_xy):
-    t_boxes = {tid: box_at(x, y) for tid, (x, y) in enumerate(tracks_xy, 1)}
-    d_boxes = [box_at(x, y) for x, y in dets_xy]
+
+
+@given(
+    track_boxes=st.lists(box, min_size=0, max_size=4),
+    det_boxes=st.lists(box, min_size=0, max_size=4),
+    threshold=st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+)
+def test_greedy_matches_enumeration_oracle(track_boxes, det_boxes, threshold):
+    t_boxes = dict(enumerate(track_boxes, 1))
     tracks = {tid: track_with_box(tid, b) for tid, b in t_boxes.items()}
     matches, unmatched_t, unmatched_d = greedy_iou_match(
-        tracks, as_detections(d_boxes), 0.5)
-    expected = greedy_oracle(t_boxes, d_boxes, 0.5)
-    assert [(tid, di) for tid, di, _ in matches] == [(t, d) for t, d, _ in expected]
+        tracks, as_detections(det_boxes), threshold)
+    expected = greedy_oracle(t_boxes, det_boxes, threshold)
+    assert matches == expected  # pairs, order and iou() scores, exactly
     assert set(unmatched_t) == set(t_boxes) - {t for t, _, _ in expected}
-    assert set(unmatched_d) == set(range(len(d_boxes))) - {d for _, d, _ in expected}
+    assert set(unmatched_d) == set(range(len(det_boxes))) - {d for _, d, _ in expected}
     for tid, di, score in matches:
-        assert score >= 0.5
+        assert score >= threshold
+    if threshold <= 0.0:  # zero-IOU pairs are admitted too
+        assert len(matches) == min(len(t_boxes), len(det_boxes))
 
 
 # ------------------------------------------------- kinematics counters

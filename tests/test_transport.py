@@ -381,6 +381,21 @@ def test_flush_counts_records_not_sent_while_link_is_down():
     assert sender._writer is None and sender._sock is None
 
 
+@pytest.mark.parametrize("link", ["peer-closed", "socket-gone"])
+def test_failed_batch_returns_to_buffer_front_in_order(link):
+    cfg = config_for("plaintext")
+    sender = FeatureSender(cfg)
+    if link == "peer-closed":
+        left, right = socket.socketpair()
+        right.close()  # the writer sees the peer's EOF before it writes
+        sender._sock, sender._session = left, make_sender_session(cfg)
+    items = [[0.0, seq, now_us(), b"r%d" % seq] for seq in range(1, 6)]
+    sender._buffer.extend(items[3:])  # newer records already waiting
+    sender._transmit(items[:3])
+    assert [item[1] for item in sender._buffer] == [1, 2, 3, 4, 5]
+    assert sender._sock is None and sender._handed == 0
+
+
 def test_reconnect_resumes_in_order():
     cfg = config_for("symmetric")
     first = FogReceiver(cfg)
@@ -450,3 +465,42 @@ def test_measure_latency_counts_every_record():
     stats, received = measure_latency(config_for("plaintext"), sent)
     assert len(received) == 20
     assert all(latency >= 0 for latency in stats.latencies())
+
+
+def test_measure_latency_keeps_window_in_flight(monkeypatch):
+    window = 4
+    counts = {"sent": 0, "delivered": 0, "most": 0}
+    send_record = FeatureSender.send_record
+    add = LatencyStats.add
+
+    def counting_send(self, record, camera_id):
+        counts["sent"] += 1
+        counts["most"] = max(counts["most"], counts["sent"] - counts["delivered"])
+        return send_record(self, record, camera_id)
+
+    def counting_add(self, *args):
+        counts["delivered"] += 1
+        add(self, *args)
+
+    monkeypatch.setattr(FeatureSender, "send_record", counting_send)
+    monkeypatch.setattr(LatencyStats, "add", counting_add)
+    sent = [simple_record(frame=i) for i in range(50)]
+    stats, received = measure_latency(config_for("symmetric", window=window), sent)
+    assert received == sent
+    assert len(stats.samples) == 50
+    assert 1 <= counts["most"] <= window
+
+
+def test_measure_latency_collects_garbage_before_streaming(monkeypatch):
+    from loiterwatch.transport import net
+    events = []
+    send_record = FeatureSender.send_record
+
+    def noting_send(self, record, camera_id):
+        events.append("send")
+        return send_record(self, record, camera_id)
+
+    monkeypatch.setattr(FeatureSender, "send_record", noting_send)
+    monkeypatch.setattr(net.gc, "collect", lambda: events.append("collect"))
+    measure_latency(config_for("plaintext"), [simple_record(frame=i) for i in range(5)])
+    assert events == ["collect"] + ["send"] * 5
