@@ -47,7 +47,12 @@ class AlarmPolicy:
     max_threshold: float = 90.0
 
     def is_after_hours(self, hour: float) -> bool:
-        return hour >= self.after_hours_start or hour < self.after_hours_end
+        """Whether hour lies in [start, end). A window whose start is after
+        its end wraps midnight; one whose start equals its end is empty."""
+        start, end = self.after_hours_start, self.after_hours_end
+        if start <= end:
+            return start <= hour < end
+        return hour >= start or hour < end
 
     def threshold_for(self, ctx: CameraContext, hour: float) -> float:
         value = self.base_threshold
@@ -185,7 +190,8 @@ class FogPipeline:
         if ctx is None:
             self.error_log.append(camera_id, "record from unknown camera rejected")
             return []
-        camera_id, timestamp, objects = ctx.camera_id, record.timestamp, record.objects
+        camera_id, frame_index, timestamp, objects = (
+            ctx.camera_id, record.frame_index, record.timestamp, record.objects)
         hour = hour_of_day(timestamp, ctx)
         threshold = self.policy.threshold_for(ctx, hour)
         scores = self.engine.score_record(
@@ -193,16 +199,12 @@ class FogPipeline:
             [_object_inputs(obj.dwell_time, obj.speed_change_count,
                             obj.direction_change_count) for obj in objects],
             [f"{camera_id}/{obj.track_id}" for obj in objects])
-        reports = []
+        log, reports = self.decision_log.append, []
         for obj, score in zip(objects, scores):
-            alarm = _alarm(score, threshold)
-            self.decision_log.append(timestamp, camera_id, obj.track_id,
-                                     score.value, threshold, alarm, score.status)
-            reports.append(SuspicionReport(
-                camera_id=camera_id, track_id=obj.track_id,
-                frame_index=record.frame_index, timestamp=timestamp,
-                score=score, threshold=threshold, alarm=alarm,
-            ))
+            track_id, alarm = obj.track_id, _alarm(score, threshold)
+            log(timestamp, camera_id, track_id, score.value, threshold, alarm, score.status)
+            reports.append(SuspicionReport(camera_id, track_id, frame_index, timestamp,
+                                           score, threshold, alarm))
         return reports
 
 

@@ -16,10 +16,13 @@ premises, is one (min|max, child slots) step writing the next slot. Per
 record, the inputs shared by all its objects are fuzzified once and folded
 into the step list; the folded list is memoized on which of their degrees
 are > 0, and the folded values are computed per record. Each object then
-fuzzifies only its own inputs and runs the residual steps. A bounded centroid memo keyed on the per-label weights means
-``aggregate`` and ``defuzzify`` run only for a weight vector not seen
-before. Scores are bit-identical to the tree walk over ``fuzzify_all``,
-``Rule.evaluate``, ``aggregate`` and ``defuzzify``.
+fuzzifies only its own inputs and runs the residual steps. Bounded memos
+skip work already done: each own input's degrees per crisp float, each
+object's score per (shared degrees, own degrees), and the centroid per
+per-label weight vector, so ``aggregate`` and ``defuzzify`` run only for a
+weight vector not seen before. Every memo holds what the same pure
+computation returned, so scores are bit-identical to the tree walk over
+``fuzzify_all``, ``Rule.evaluate``, ``aggregate`` and ``defuzzify``.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ STATUS_INPUT_ERROR = "input-error"
 
 DEFAULT_GRID_RESOLUTION = 1001
 
-# Most entries each of an engine's two memos keeps: centroids per distinct
-# per-label weight vector, and folded step lists per split of the inputs
-# and pattern of positive shared degrees. A full memo is emptied and refills, so it follows a
-# drifting input mix. Streams need far fewer: a 30-person, 120 s crowd
-# yields 285 weight vectors.
+# Most entries each of an engine's memos keeps: centroids per distinct
+# per-label weight vector, folded step lists per split of the inputs and
+# pattern of positive shared degrees, degree tuples per own input and crisp
+# value, and scores per (shared degrees, own degrees). A full memo is
+# emptied and refills, so it follows a drifting input mix. Streams need far
+# fewer: a 30-person, 120 s crowd yields 285 weight vectors.
 CENTROID_MEMO_CAP = 4096
 
 
@@ -124,6 +128,27 @@ def _compile_member(member: MembershipFunction) -> tuple:
     )
 
 
+def _degrees(x: float, members: tuple) -> tuple[float, ...]:
+    """Every compiled member's degree at a validated, clamped x, each
+    computed as ``MembershipFunction.evaluate`` computes it."""
+    out = []
+    append = out.append
+    for first_x, left, last_x, right, xs, ds, dds, dxs in members:
+        if x < first_x:
+            append(left)
+        elif x > last_x:
+            append(right)
+        else:
+            k = bisect_right(xs, x) - 1
+            x0 = xs[k]
+            if x == x0:
+                append(ds[k])
+            else:
+                d = ds[k] + dds[k] * (x - x0) / dxs[k]
+                append(d if 0.0 <= d <= 1.0 else (0.0 if d < 0.0 else 1.0))
+    return tuple(out)
+
+
 def _step(op, children: tuple[int, ...], steps: dict, base: int) -> int:
     """Slot of the value op(children), appending a step for a node not seen
     before; the step list starts writing at slot ``base``. A node with one
@@ -189,6 +214,9 @@ class FuzzyEngine:
         self._weight_slots = tuple(_step(max, p, steps, len(slots)) for p in fired.values())
         self._steps = tuple(steps)  # (op, child slots), writing slots len(slots)...
         self._programs: dict[tuple, tuple] = {}
+        self._degree_memos: dict[str, dict[float, tuple[float, ...]]] = {
+            name: {} for name, _ in self._inputs}
+        self._scores: dict[tuple, SuspicionScore] = {}
         self._centroids: dict[tuple[float, ...], SuspicionScore] = {}
         self._memo_lock = threading.Lock()
 
@@ -230,26 +258,11 @@ class FuzzyEngine:
 
     def _fuzzify(self, inputs: Mapping[str, float], plan: tuple, degrees: list[float]) -> None:
         """Append the degree of every member of the variables in ``plan``,
-        in slot order, each computed as ``MembershipFunction.evaluate``
-        computes it."""
-        append = degrees.append
+        in slot order."""
         for name, domain, members in plan:
             if name not in inputs:
                 raise InputDataError(f"missing input {name!r}")
-            x = crisp_input(name, inputs[name], domain)
-            for first_x, left, last_x, right, xs, ds, dds, dxs in members:
-                if x < first_x:
-                    append(left)
-                elif x > last_x:
-                    append(right)
-                else:
-                    k = bisect_right(xs, x) - 1
-                    x0 = xs[k]
-                    if x == x0:
-                        append(ds[k])
-                    else:
-                        d = ds[k] + dds[k] * (x - x0) / dxs[k]
-                        append(d if 0.0 <= d <= 1.0 else (0.0 if d < 0.0 else 1.0))
+            degrees += _degrees(crisp_input(name, inputs[name], domain), members)
 
     def _specialize(self, split: tuple[bool, ...], positive: tuple[bool, ...]) -> tuple:
         """The step list folded on the shared inputs, for every record
@@ -268,7 +281,8 @@ class FuzzyEngine:
         Returns (shared steps, per-object plan, residual steps, weight
         slots) over a degree list laid out as the shared degrees, the
         shared steps' values, the per-object input degrees, then one slot
-        per residual step.
+        per residual step. Each per-object plan entry carries its
+        variable's degree memo.
 
         min and max are exact, so a folded value equals the value the full
         list would compute, up to the sign of a zero. The two folds at
@@ -293,7 +307,7 @@ class FuzzyEngine:
         slots = 0
         for is_shared, entry in zip(split, self._fuzzify_plan):
             if not is_shared:
-                plan.append(entry)
+                plan.append((*entry, self._degree_memos[entry[0]]))
             for slot in range(slots, slots + len(entry[2])):
                 if is_shared:
                     shared[slot] = len(shared)
@@ -329,7 +343,7 @@ class FuzzyEngine:
                 tuple((op, itemgetter(*map(place, refs))) for op, refs in residual),
                 tuple(map(place, weights)))
 
-    def _remember(self, memo: dict, key: tuple, value):
+    def _remember(self, memo: dict, key, value):
         """Store a memo entry, emptying a full memo first; returns value."""
         with self._memo_lock:
             if len(memo) >= CENTROID_MEMO_CAP:
@@ -346,17 +360,19 @@ class FuzzyEngine:
         ``shared`` holds the inputs common to all objects (a value there
         overrides an object's own). They are fuzzified once and folded
         into the rule program, so each object evaluates only what depends
-        on its own inputs. An object whose inputs fail, shared ones
-        included, gets what ``score_object`` gives it: input-error, value 0,
-        the same detail, and one error-log line under its id.
+        on its own inputs. An own input that is exactly a ``float`` takes
+        its degrees from that variable's memo, and an object whose own
+        degrees were scored before on the same shared degrees takes that
+        score. An object whose inputs fail, shared ones included, gets what
+        ``score_object`` gives it: input-error, value 0, the same detail,
+        and one error-log line under its id.
         """
         if not objects:
             return []
-        split = tuple(name in shared for name, _, _ in self._fuzzify_plan)
+        split = tuple([name in shared for name, _, _ in self._fuzzify_plan])
         values: list[float] = []
         try:
-            self._fuzzify(shared, tuple(e for e, s in zip(self._fuzzify_plan, split) if s),
-                          values)
+            self._fuzzify(shared, [e for e, s in zip(self._fuzzify_plan, split) if s], values)
         except InputDataError:
             return [self.score_object({**inputs, **shared}, object_ids[i])
                     for i, inputs in enumerate(objects)]
@@ -365,15 +381,29 @@ class FuzzyEngine:
         if program is None:
             program = self._remember(self._programs, key, self._specialize(*key))
         shared_steps, plan, steps, weight_slots = program
-        append = values.append
-        for op, children in shared_steps:
-            append(op(children(values)))
-        centroids = self._centroids
+        # The shared degrees fix the folded program and its shared values;
+        # those are computed at the record's first object not scored before.
+        record = (split, tuple(values))
+        folded = False
+        remember, known, centroids = self._remember, self._scores, self._centroids
         scores = []
         for i, inputs in enumerate(objects):
-            degrees = values.copy()
+            key = [record]
             try:
-                self._fuzzify(inputs, plan, degrees)
+                for name, domain, members, memo in plan:
+                    if name not in inputs:
+                        raise InputDataError(f"missing input {name!r}")
+                    x = inputs[name]
+                    # A bool, an int or a float subclass is validated on
+                    # every call; NaN and inf fail and are never stored.
+                    if type(x) is float:
+                        own = memo.get(x)
+                        if own is None:
+                            own = remember(memo, x, _degrees(crisp_input(name, x, domain),
+                                                             members))
+                    else:
+                        own = _degrees(crisp_input(name, x, domain), members)
+                    key.append(own)
             except InputDataError as exc:
                 # The shared inputs are valid, so this is the first bad
                 # input in variable order, as score_object would report.
@@ -381,14 +411,26 @@ class FuzzyEngine:
                 scores.append(SuspicionScore(value=0.0, status=STATUS_INPUT_ERROR,
                                              error_detail=str(exc)))
                 continue
-            append = degrees.append
-            for op, children in steps:
-                append(op(children(degrees)))
-            weights = tuple([degrees[s] for s in weight_slots])
-            score = centroids.get(weights)
+            key = tuple(key)
+            score = known.get(key)
             if score is None:
-                score = self._remember(centroids, weights, self.defuzzify(
-                    self.aggregate(dict(zip(self._weight_labels, weights)))))
+                if not folded:
+                    append = values.append
+                    for op, children in shared_steps:
+                        append(op(children(values)))
+                    folded = True
+                degrees = values.copy()
+                for own in key[1:]:
+                    degrees += own
+                append = degrees.append
+                for op, children in steps:
+                    append(op(children(degrees)))
+                weights = tuple([degrees[s] for s in weight_slots])
+                score = centroids.get(weights)
+                if score is None:
+                    score = remember(centroids, weights, self.defuzzify(
+                        self.aggregate(dict(zip(self._weight_labels, weights)))))
+                remember(known, key, score)
             scores.append(score)
         return scores
 

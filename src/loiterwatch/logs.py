@@ -37,11 +37,6 @@ class ErrorLog:
         return len(self.entries)
 
 
-def _fmt(value: float) -> str:
-    # Fixed-width formatting keeps log bytes identical across runs.
-    return f"{value:.4f}"
-
-
 @dataclass
 class DecisionLog:
     """Collects per-object decisions; one row per scored object."""
@@ -50,9 +45,10 @@ class DecisionLog:
 
     def append(self, timestamp: float, camera_id: str, track_id: int,
                score: float, threshold: float, alarm: bool, status: str) -> None:
+        # Fixed-width formatting keeps log bytes identical across runs.
         self.rows.append([
-            _fmt(timestamp), camera_id, str(track_id),
-            _fmt(score), _fmt(threshold), str(int(alarm)), status,
+            f"{timestamp:.4f}", camera_id, str(track_id),
+            f"{score:.4f}", f"{threshold:.4f}", "1" if alarm else "0", status,
         ])
 
     def write(self, path: str | Path) -> None:

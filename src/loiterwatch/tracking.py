@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import islice
+from operator import attrgetter
 
 from .logs import ErrorLog
 
@@ -61,7 +62,8 @@ class TrackState:
     last_seen: float
     last_frame: int
     box: Box
-    history: deque = field(default_factory=deque)  # (t, cx, cy)
+    # (t, cx, cy, length of the segment from the sample before, 0.0 for the first)
+    history: deque = field(default_factory=deque)
     speed: float = 0.0
     heading: float = 0.0
     heading_valid: bool = False
@@ -131,22 +133,29 @@ def update_kinematics(track: TrackState, box: Box, timestamp: float,
     Returns False (and changes nothing) when the timestamp does not advance
     the track's history; the caller decides how to log the rejection.
     """
-    if track.history and timestamp <= track.history[-1][0]:
+    history = track.history
+    if history and timestamp <= history[-1][0]:
         return False
     cx, cy = centroid(box)
-    track.history.append((timestamp, cx, cy))
-    while len(track.history) > params.smoothing_window:
-        track.history.popleft()
+    if history:
+        _, xa, ya, _ = history[-1]
+        history.append((timestamp, cx, cy, math.hypot(cx - xa, cy - ya)))
+    else:
+        history.append((timestamp, cx, cy, 0.0))
+    while len(history) > params.smoothing_window:
+        history.popleft()
     track.box = box
     track.last_seen = timestamp
 
-    if len(track.history) < 2:
+    if len(history) < 2:
         return True
-    t0, x0, y0 = track.history[0]
+    t0, x0, y0, _ = history[0]
     span = timestamp - t0
+    # The window's path: its segments summed left to right, each stored
+    # when its end sample was appended.
     path = 0.0
-    for (ta, xa, ya), (tb, xb, yb) in pairwise(track.history):
-        path += math.hypot(xb - xa, yb - ya)
+    for _, _, _, segment in islice(history, 1, None):
+        path += segment
     speed = path / span if span > 0 else 0.0
     if speed < params.speed_floor:
         speed = 0.0  # standing
@@ -188,13 +197,25 @@ def greedy_iou_match(tracks: dict[int, TrackState], detections: list[Detection],
     Returns (matches, unmatched track ids, unmatched detection indices).
     Each box's corners and area are taken once; each pair's IOU is then
     ``iou`` inlined, the same expressions in the same order.
+
+    With a threshold above 0, a pair whose x spans do not overlap (the
+    detection's left edge at or right of the track's right edge, or its
+    right edge at or left of the track's left edge) is skipped: its
+    intersection width is <= 0, or NaN where two infinite edges meet, so
+    its IOU is 0 or NaN and cannot reach the threshold. Only a true
+    comparison skips a pair, so the matches equal those of scoring every
+    pair for any corners, NaN and inf included. At a threshold <= 0 every
+    pair is scored, because zero-IOU pairs match too.
     """
     boxes = [(x, y, x + w, y + h, w * h) for x, y, w, h in (d.box for d in detections)]
+    prune = iou_threshold > 0.0
     pairs = []
     for tid, track in tracks.items():
         ax0, ay0, aw, ah = track.box
         ax1, ay1, a_area = ax0 + aw, ay0 + ah, aw * ah
         for di, (bx0, by0, bx1, by1, b_area) in enumerate(boxes):
+            if prune and (bx0 >= ax1 or bx1 <= ax0):
+                continue
             # min() and max() keep their first argument on a tie.
             iw = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
             ih = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
@@ -253,21 +274,11 @@ def reconcile_detections(tracks: dict[int, TrackState], detections: list[Detecti
 def build_feature_record(tracks: dict[int, TrackState], frame_index: int,
                          timestamp: float) -> FeatureRecord:
     """Snapshot the live track table into one transportable record."""
-    objects = tuple(
-        ObjectFeatures(
-            track_id=t.track_id,
-            dwell_time=t.dwell,
-            speed_change_count=t.speed_change_count,
-            direction_change_count=t.direction_change_count,
-        )
-        for t in sorted(tracks.values(), key=lambda t: t.track_id)
-    )
-    return FeatureRecord(
-        frame_index=frame_index,
-        timestamp=timestamp,
-        people_count=len(objects),
-        objects=objects,
-    )
+    objects = tuple([
+        ObjectFeatures(t.track_id, t.dwell, t.speed_change_count, t.direction_change_count)
+        for t in sorted(tracks.values(), key=attrgetter("track_id"))
+    ])
+    return FeatureRecord(frame_index, timestamp, len(objects), objects)
 
 
 class TrackFeatureExtractor:
@@ -308,13 +319,14 @@ class TrackFeatureExtractor:
 
     def _tracker_update(self, detections: list[Detection]) -> None:
         # Tracker rows can only continue tracks the detector created.
-        matches, _, _ = greedy_iou_match(self.tracks, detections, self.params.iou_threshold)
+        tracks, params = self.tracks, self.params
+        matches, _, _ = greedy_iou_match(tracks, detections, params.iou_threshold)
         for tid, di, _ in matches:
-            det = detections[di]
-            if not update_kinematics(self.tracks[tid], det.box, det.timestamp, self.params):
+            det, track = detections[di], tracks[tid]
+            if not update_kinematics(track, det.box, det.timestamp, params):
                 self.error_log.append(str(tid), "non-monotonic timestamp in track update")
                 continue
-            self.tracks[tid].last_frame = det.frame_index
+            track.last_frame = det.frame_index
 
     def _kill_stale(self, frame_index: int) -> None:
         limit = self.params.max_missed_cycles * self.params.detector_cycle

@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["suite", "crowd"])
+@pytest.mark.parametrize("workload", ["suite", "crowd", "link"])
 def test_bench_checks_pass_on_tiny_inputs(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,

@@ -67,6 +67,33 @@ class TestThreshold:
         assert not policy.is_after_hours(6.0)
         assert not policy.is_after_hours(21.99)
 
+    def test_after_hours_window_within_one_day(self):
+        policy = AlarmPolicy(after_hours_start=0.0, after_hours_end=6.0)
+        assert policy.is_after_hours(0.0)
+        assert policy.is_after_hours(5.99)
+        assert not policy.is_after_hours(6.0)
+        assert not policy.is_after_hours(12.0)
+        assert not policy.is_after_hours(23.99)
+        outdoor = cam(placement="outdoor", security_level=3)
+        assert policy.threshold_for(outdoor, 12.0) == 40.0
+        assert policy.threshold_for(outdoor, 3.0) == 35.0
+
+    def test_after_hours_window_wrapping_midnight(self):
+        policy = AlarmPolicy(after_hours_start=20.0, after_hours_end=2.0)
+        assert policy.is_after_hours(20.0)
+        assert policy.is_after_hours(23.5)
+        assert policy.is_after_hours(0.0)
+        assert policy.is_after_hours(1.99)
+        assert not policy.is_after_hours(2.0)
+        assert not policy.is_after_hours(12.0)
+        assert not policy.is_after_hours(19.99)
+
+    @pytest.mark.parametrize("bound", [0.0, 6.0, 22.0])
+    def test_after_hours_window_empty_when_start_equals_end(self, bound):
+        policy = AlarmPolicy(after_hours_start=bound, after_hours_end=bound)
+        for hour in (0.0, 5.99, 6.0, 12.0, 21.99, 22.0, 23.99):
+            assert not policy.is_after_hours(hour)
+
     def test_indoor_after_hours_gets_no_bonus(self):
         assert alarm_threshold(cam(security_level=3), 23.0) == 40.0
 

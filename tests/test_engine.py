@@ -459,3 +459,145 @@ def test_specialization_memo_never_grows_past_its_cap(monkeypatch):
         sizes.add(len(engine._programs))
         assert score.value == tree_walk(engine, {"x": x})
     assert max(sizes) == cap
+
+
+# -- the per-object memos: degrees per own input, scores per object ---------
+
+def memo_sizes(engine):
+    """Entries in each of the engine's memos."""
+    return {"centroids": len(engine._centroids), "scores": len(engine._scores),
+            "programs": len(engine._programs),
+            **{name: len(memo) for name, memo in engine._degree_memos.items()}}
+
+
+@SPLITS
+def test_score_record_repeats_hit_every_memo(config, shared_names):
+    engine = FuzzyEngine(config)
+    records = [[{"hour": hour, "people-count": people, **own} for own in OWN]
+               for hour in (2.0, 6.25, 13.0, 21.3) for people in (1.0, 4.5, 12.0)]
+    expected = [[tree_walk(engine, o) for o in objects] for objects in records]
+    for round_ in range(2):
+        for objects, want in zip(records, expected):
+            shared, own = as_record(objects, shared_names)
+            scores = engine.score_record(shared, own, [f"cam/{i}" for i in range(len(own))])
+            assert [s.value for s in scores] == want
+        if round_ == 0:
+            sizes = memo_sizes(engine)
+            assert sizes["scores"] > 0
+    assert memo_sizes(engine) == sizes  # the second round added nothing
+    for name, _ in engine._inputs:
+        assert bool(engine._degree_memos[name]) == (name not in shared_names)
+
+
+SIGNED_ZEROS_AND_RANGE = (0.0, -0.0, -3.5, 1e6, -1e-300, 1e-300, 45.0, 1e300)
+
+
+@pytest.mark.parametrize("name", ["dwell-time", "speed-changes", "direction-changes"])
+def test_own_input_memo_on_zeros_out_of_domain_and_ints(config, name):
+    engine = FuzzyEngine(config)
+    base = inputs_for(2.0, 12.0, 2.0, 4.0, 3.0)
+    shared, _ = as_record([base], PIPELINE_SHARED)
+    values = SIGNED_ZEROS_AND_RANGE + (0, 3, -2, 46, 10**9)
+    for _ in range(2):  # each value twice, in either order of 0.0 and -0.0
+        for x in values + tuple(reversed(values)):
+            objects = [{**base, name: x}]
+            (score,) = engine.score_record(shared, as_record(objects, PIPELINE_SHARED)[1],
+                                           ["cam/1"])
+            assert score.status == STATUS_OK
+            assert score.value == tree_walk(engine, objects[0])
+    # Only exact floats are memoized; 0.0 and -0.0 share one entry.
+    assert all(type(x) is float for x in engine._degree_memos[name])
+    assert len(engine._degree_memos[name]) == len(set(SIGNED_ZEROS_AND_RANGE))
+
+
+@pytest.mark.parametrize("bad", [
+    {"speed-changes": True},
+    {"direction-changes": False},
+    {"dwell-time": math.nan},
+    {"dwell-time": -math.inf},
+    {"speed-changes": None},
+], ids=["true", "false", "nan", "-inf", "none"])
+def test_errors_unchanged_after_the_value_is_memoized(config, bad):
+    """1.0 and 0.0 are memoized as floats first; True, False, NaN and the
+    rest must still fail with the detail a fresh engine gives."""
+    shared = {"hour": 3.0, "people-count": 2.0}
+    warm = [{"dwell-time": d, "speed-changes": s, "direction-changes": c}
+            for d in (0.0, 1.0, 12.0) for s in (0.0, 1.0) for c in (0.0, 1.0)]
+    objects = [OWN_OK, {**OWN_OK, **bad}, {"dwell-time": 1.0, "speed-changes": 1.0},
+               OWN_OK]
+    ids = [f"cam/{i}" for i in range(len(objects))]
+    memoized = FuzzyEngine(config)
+    memoized.score_record(shared, warm, [f"w/{i}" for i in range(len(warm))])
+    assert memoized._degree_memos["speed-changes"] and memoized._scores
+    memoized.error_log.entries.clear()
+    got = memoized.score_record(shared, objects, ids)
+    fresh = FuzzyEngine(config)
+    want = [fresh.score_object({**o, **shared}, object_id=i) for o, i in zip(objects, ids)]
+    assert got == want
+    assert [s.status for s in got] == [STATUS_OK, STATUS_INPUT_ERROR, STATUS_INPUT_ERROR,
+                                       STATUS_OK]
+    assert ([entry[1:] for entry in memoized.error_log.entries]
+            == [entry[1:] for entry in fresh.error_log.entries])
+    assert all(type(x) is float and x == x
+               for memo in memoized._degree_memos.values() for x in memo)
+
+
+def test_no_memo_grows_past_its_cap(config, monkeypatch):
+    cap = 7
+    monkeypatch.setattr(engine_module, "CENTROID_MEMO_CAP", cap)
+    engine = FuzzyEngine(config)
+    peaks: dict[str, int] = {}
+    for hour in (2.0, 5.5, 6.25, 13.0, 17.2, 21.3):
+        for people in (1.0, 4.5, 9.0):
+            for dwell in np.linspace(0.0, 30.0, 13):
+                # One object per record, so each memo's size is seen after
+                # every insert.
+                for s, c in ((0.0, 0.0), (2.0, 3.0), (8.0, 0.0)):
+                    inputs = inputs_for(hour, float(dwell), s, c, people)
+                    shared, own = as_record([inputs], PIPELINE_SHARED)
+                    (score,) = engine.score_record(shared, own, ["cam/1"])
+                    assert score.value == tree_walk(engine, inputs)
+                    for name, size in memo_sizes(engine).items():
+                        peaks[name] = max(peaks.get(name, 0), size)
+    assert all(size <= cap for size in peaks.values())
+    assert peaks["scores"] == peaks["centroids"] == peaks["dwell-time"] == cap, peaks
+
+
+def test_shared_engine_record_scores_match_across_threads(monkeypatch):
+    """The 8-thread check of score_object, through score_record with the
+    pipeline split, so every memo is read and cleared while others fill it."""
+    cap = 16
+    monkeypatch.setattr(engine_module, "CENTROID_MEMO_CAP", cap)
+    records = [[inputs_for(h, d, s, 1.0, p) for d in (0.0, 7.5, 17.0, 25.0)
+                for s in (0.0, 2.0, 8.0)]
+               for h in (3.0, 6.3, 11.0, 17.2, 22.0) for p in (1.0, 4.0, 12.0)]
+    alone = FuzzyEngine(default_config())
+    expected = [[tree_walk(alone, o) for o in objects] for objects in records]
+    shared_engine = FuzzyEngine(default_config())
+    results: dict[int, list] = {}
+    sizes: list[int] = []
+
+    def work(k):
+        got = []
+        for _ in range(3):
+            for objects in records[k:] + records[:k]:
+                shared, own = as_record(objects, PIPELINE_SHARED)
+                got.append([s.value for s in
+                            shared_engine.score_record(shared, own, ["cam/1"] * len(own))])
+                sizes.append(max(memo_sizes(shared_engine).values()))
+        results[k] = got
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(8):
+        assert results[k] == (expected[k:] + expected[:k]) * 3
+    assert max(sizes) <= cap

@@ -4,7 +4,9 @@ The digests below were recorded from ``run_suite(out, threshold=60.0)`` and
 from an in-process replay of a seeded 30-person crowd, with the shipped
 fuzzy config and policy under numpy 2.4, whose summation order the centroid
 depends on. The suite scores about 1.6 objects per record; the crowd, about
-9, exercises the fog node's per-record loop. A change that keeps decisions
+9, exercises the fog node's per-record loop. Two more streams run on the
+hour's ramps (a crowd at 06:00, two people at 17:00), where every record
+brings new shared degrees and so new keys for the fog's score memo. A change that keeps decisions
 byte-identical keeps this test green; a change that moves any score, alarm
 or count fails it and must re-record the digests together with an
 explanation of why the outputs moved.
@@ -13,6 +15,8 @@ explanation of why the outputs moved.
 from __future__ import annotations
 
 import hashlib
+
+import pytest
 
 from loiterwatch.harness import generate_scenario, replay_scenario, run_suite
 
@@ -50,6 +54,14 @@ SUITE_DIGESTS = {
 CROWD_ROWS = 3896
 CROWD_DIGEST = "d0fc9c7a06b8d142eacf40ef5e5e1a08a4c51a3905b9e124f7f521a74c2b3409"
 
+# Streams on the hour's ramps, where the hour's degrees, and so every
+# record's shared degrees, change at every record: (people, hour) ->
+# (rows, sha256 of the decision log).
+RAMP_DIGESTS = {
+    (30, 6): (3896, "4ca09a6fafc7f45ad263d131db83ab5ea09af82898a655ffb06face5125e8998"),
+    (2, 17): (256, "2e8c4449b1fad920a0050d234dc207a5b1f78134bef7cecacf51c15bc1f0c130"),
+}
+
 
 def test_suite_outputs_match_recorded_digests(tmp_path):
     run_suite(tmp_path, threshold=60.0)
@@ -67,3 +79,13 @@ def test_crowd_decision_log_matches_recorded_digest(tmp_path):
     log = replay_scenario(scenario).decision_log
     assert len(log.rows) == CROWD_ROWS
     assert hashlib.sha256(log.as_bytes()).hexdigest() == CROWD_DIGEST
+
+
+@pytest.mark.parametrize("people,hour", sorted(RAMP_DIGESTS), ids=["crowd-0600", "pair-1700"])
+def test_ramp_hour_decision_logs_match_recorded_digests(tmp_path, people, hour):
+    scenario = generate_scenario("crowd", tmp_path, seed=1, people=people,
+                                 duration=120, jitter=2.0, hour=hour)
+    log = replay_scenario(scenario).decision_log
+    rows, digest = RAMP_DIGESTS[(people, hour)]
+    assert len(log.rows) == rows
+    assert hashlib.sha256(log.as_bytes()).hexdigest() == digest

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from loiterwatch.tracking import (
     DETECTOR,
@@ -145,6 +145,65 @@ def test_greedy_matches_enumeration_oracle(track_boxes, det_boxes, threshold):
         assert score >= threshold
     if threshold <= 0.0:  # zero-IOU pairs are admitted too
         assert len(matches) == min(len(t_boxes), len(det_boxes))
+
+
+def nudged(value, ulps):
+    """value moved by ``ulps`` units in the last place, down if negative."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+SPECIAL = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def edge_frames(draw):
+    """Track boxes, and detections whose left edge sits on a track's right
+    edge, or whose right edge sits on its left edge, or one ulp either side,
+    at the track's height; then any coordinate may turn NaN or infinite."""
+    track_boxes = draw(st.lists(box, min_size=1, max_size=4))
+    det_boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        x, y, w, h = draw(st.sampled_from(track_boxes))
+        bw = draw(st.one_of(st.floats(0.5, 60), st.just(w)))
+        ulps = draw(st.sampled_from([-1, 0, 1]))
+        if draw(st.booleans()):
+            det = [nudged(x + w, ulps), y, bw, h]  # left edge at the right edge
+        else:
+            det = [nudged(x - bw, ulps), y, bw, h]  # right edge near the left edge
+        det_boxes.append(det)
+    for boxes_ in (track_boxes, det_boxes):
+        for i in range(len(boxes_)):
+            if draw(st.booleans()):
+                b = list(boxes_[i])
+                b[draw(st.integers(0, 3))] = draw(st.sampled_from(SPECIAL))
+                boxes_[i] = b
+    return [tuple(b) for b in track_boxes], [tuple(b) for b in det_boxes]
+
+
+@given(frame=edge_frames(), threshold=st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+# A NaN x gives NaN left and right edges, and iou() then takes the track's
+# own edges: IOU 1 for boxes of the same size.
+@example(frame=([(0.0, 0.0, 10.0, 10.0)], [(math.nan, 0.0, 10.0, 10.0)]), threshold=0.5)
+@example(frame=([(0.0, 0.0, 10.0, 10.0)], [(10.0, 0.0, math.inf, 10.0),
+                                          (-math.inf, 0.0, math.inf, 10.0),
+                                          (math.nextafter(10.0, 0.0), 0.0, 5.0, 10.0)]),
+         threshold=1.0)
+@example(frame=([(0.0, 0.0, math.inf, 10.0)], [(math.inf, 0.0, 1.0, 10.0),
+                                              (-5.0, 0.0, 5.0, 10.0)]),
+         threshold=0.5)
+def test_greedy_matches_oracle_on_touching_and_non_finite_edges(frame, threshold):
+    track_boxes, det_boxes = frame
+    t_boxes = dict(enumerate(track_boxes, 1))
+    tracks = {tid: track_with_box(tid, b) for tid, b in t_boxes.items()}
+    matches, unmatched_t, unmatched_d = greedy_iou_match(
+        tracks, as_detections(det_boxes), threshold)
+    expected = greedy_oracle(t_boxes, det_boxes, threshold)
+    assert matches == expected
+    assert set(unmatched_t) == set(t_boxes) - {t for t, _, _ in expected}
+    assert set(unmatched_d) == set(range(len(det_boxes))) - {d for _, d, _ in expected}
 
 
 # ------------------------------------------------- kinematics counters
@@ -299,6 +358,36 @@ def test_zigzag_actually_accumulates_changes():
     speed_events, direction_events = drive_track(path_zigzag(), PARAMS)
     assert direction_events >= 3
     assert speed_events >= 3
+
+
+@given(steps=st.lists(st.tuples(st.floats(1e-3, 2.0), st.floats(-500, 500),
+                                st.floats(-500, 500)), min_size=1, max_size=30),
+       window=st.integers(2, 7))
+def test_cached_path_equals_pairwise_hypot_sum(steps, window):
+    """Each sample keeps its segment's length; their left-to-right sum is
+    the pairwise hypot sum over the window, bit for bit, and so is the
+    speed derived from it."""
+    params = TrackerParams(smoothing_window=window)
+    track = TrackState(track_id=1, first_seen=0.0, last_seen=0.0, last_frame=0,
+                       box=box_at(0.0, 0.0))
+    t = 0.0
+    for dt, x, y in steps:
+        t += dt
+        assert update_kinematics(track, box_at(x, y), t, params)
+        samples = list(track.history)
+        assert len(samples) <= window
+        pairwise_path = 0.0
+        for (_, xa, ya, _), (_, xb, yb, _) in itertools.pairwise(samples):
+            pairwise_path += math.hypot(xb - xa, yb - ya)
+        cached_path = 0.0
+        for sample in samples[1:]:
+            cached_path += sample[3]
+        assert cached_path == pairwise_path
+        span = t - samples[0][0]
+        speed = pairwise_path / span if len(samples) > 1 and span > 0 else 0.0
+        if speed < params.speed_floor:
+            speed = 0.0
+        assert track.speed == speed
 
 
 def test_non_advancing_timestamp_rejected():
