@@ -6,34 +6,52 @@ adds deployment context and scores each object with a fuzzy rule base on a
 0-100 suspicion scale; scores at or above a context-shifted threshold raise
 alarms. A CLI harness generates synthetic scenarios, replays them through
 the pipeline (in-process or over TCP) and evaluates alarm quality.
+
+The package, ``loiterwatch.fuzzy`` and ``loiterwatch.harness`` load their
+exports on first access (PEP 562), so each side imports only its own
+layers: the edge's tracker and transport load no numpy, and the in-process
+fog loads no transport or cryptography.
 """
 
-from .context import (AlarmPolicy, CameraContext, ContextualizedFeatures,
-                      FogPipeline, SuspicionReport, alarm_threshold,
-                      contextualize, decide, hour_of_day, load_cameras,
-                      load_policy)
-from .fuzzy import (EngineConfig, FuzzyEngine, SuspicionScore, default_config,
-                    load_config, validate_config)
-from .logs import DecisionLog, ErrorLog
-from .tracking import (Detection, FeatureRecord, ObjectFeatures,
-                       TrackerParams, TrackFeatureExtractor, TrackState,
-                       build_feature_record, iou, reconcile_detections,
-                       update_kinematics)
-from .transport import (FeatureSender, FogReceiver, TransportConfig,
-                        WireMessage, decode_record, encode_record,
-                        generate_keypair, measure_latency)
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlarmPolicy", "CameraContext", "ContextualizedFeatures", "DecisionLog",
-    "Detection", "EngineConfig", "ErrorLog", "FeatureRecord", "FeatureSender",
-    "FogPipeline", "FogReceiver", "FuzzyEngine", "ObjectFeatures",
-    "SuspicionReport", "SuspicionScore", "TrackFeatureExtractor",
-    "TrackState", "TrackerParams", "TransportConfig", "WireMessage",
-    "alarm_threshold", "build_feature_record", "contextualize", "decide",
-    "decode_record", "default_config", "encode_record", "generate_keypair",
-    "hour_of_day", "iou", "load_cameras", "load_config", "load_policy",
-    "measure_latency", "reconcile_detections", "update_kinematics",
-    "validate_config",
-]
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """``__all__``, ``__getattr__`` and ``__dir__`` for a package that
+    exports each name of ``exports[submodule]`` from that submodule.
+
+    An export is read from its home module on every access, so it is
+    always the object that module holds.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(import_module(f".{module}", package), name)
+
+    def __dir__() -> list[str]:
+        return sorted({*vars(sys.modules[package]), *home})
+
+    return sorted(home), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "context": ("AlarmPolicy", "CameraContext", "ContextualizedFeatures",
+                "FogPipeline", "SuspicionReport", "alarm_threshold",
+                "contextualize", "decide", "hour_of_day", "load_cameras",
+                "load_policy"),
+    "fuzzy": ("EngineConfig", "FuzzyEngine", "SuspicionScore", "default_config",
+              "load_config", "validate_config"),
+    "logs": ("DecisionLog", "ErrorLog"),
+    "tracking": ("Detection", "FeatureRecord", "ObjectFeatures", "TrackerParams",
+                 "TrackFeatureExtractor", "TrackState", "build_feature_record",
+                 "iou", "reconcile_detections", "update_kinematics"),
+    "transport": ("FeatureSender", "FogReceiver", "TransportConfig", "WireMessage",
+                  "decode_record", "encode_record", "generate_keypair",
+                  "measure_latency"),
+})

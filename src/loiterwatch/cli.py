@@ -13,15 +13,13 @@ from pathlib import Path
 import click
 
 from .context import AlarmPolicy, load_policy
-from .fuzzy import ConfigurationError, default_config, load_config, validate_config
-from .harness.bench import bench_decision, bench_transport
 from .harness.evaluation import (MATCH_WINDOW, EvaluationResult, emit_report,
                                  evaluate_scenario, load_timeline)
-from .harness.replay import replay_scenario
 from .harness.scenarios import KINDS, Scenario, generate_scenario
-from .harness.suite import run_suite
-from .tracking import TrackerParams
-from .transport import TransportConfig, generate_keypair, load_transport_config
+
+# The engine (numpy) and the transport (cryptography) are imported inside
+# the commands that run them, so ``--help`` and the light commands load
+# neither.
 
 MODES = ("plaintext", "symmetric", "handshake-then-symmetric")
 
@@ -66,7 +64,16 @@ def generate(kind, out_dir, name, seed, hour, duration, people, fps, jitter,
 
 
 def _load_engine_config(path: str | None):
+    from .fuzzy import default_config, load_config
+
     return load_config(path) if path else default_config()
+
+
+def replay_scenario(*args, **kwargs):
+    """``harness.replay.replay_scenario``, imported on first call."""
+    from .harness.replay import replay_scenario as replay
+
+    return replay(*args, **kwargs)
 
 
 @main.command()
@@ -92,6 +99,8 @@ def replay(scenario_json, out_dir, fuzzy_config, policy_path, transport, mode,
         policy = load_policy(policy_path) if policy_path else AlarmPolicy()
         tcfg = None
         if transport == "loopback":
+            from .transport import TransportConfig, generate_keypair, load_transport_config
+
             if transport_config:
                 tcfg = load_transport_config(transport_config)
                 if mode is not None:
@@ -158,6 +167,8 @@ def report(eval_json, out_dir):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False), required=False)
 def validate_config_cmd(config_path):
     """Check a fuzzy config (the shipped default when no path is given)."""
+    from .fuzzy import ConfigurationError, validate_config
+
     try:
         config = _load_engine_config(config_path)
     except (ConfigurationError, OSError) as exc:
@@ -179,6 +190,8 @@ def validate_config_cmd(config_path):
 @click.option("--fuzzy-config", type=click.Path(exists=True, dir_okay=False), default=None)
 def bench_decision_cmd(records, objects, seed, fuzzy_config):
     """Time the per-object score+decide path."""
+    from .harness.bench import bench_decision
+
     try:
         result = bench_decision(records=records, objects_per_record=objects,
                                 seed=seed,
@@ -201,6 +214,9 @@ def bench_decision_cmd(records, objects, seed, fuzzy_config):
               help="Write per-message latency CSVs here.")
 def bench_transport_cmd(records, modes, objects_low, objects_high, out_dir):
     """Loopback latency benchmark across confidentiality modes."""
+    from .harness.bench import bench_transport
+    from .transport import TransportConfig, generate_keypair
+
     run_modes = MODES if modes == "all" else (modes,)
     try:
         private_pem, public_pem = generate_keypair()
@@ -233,6 +249,8 @@ def bench_transport_cmd(records, modes, objects_low, objects_high, out_dir):
 @click.option("--fuzzy-config", type=click.Path(exists=True, dir_okay=False), default=None)
 def suite(out_dir, threshold, window, fuzzy_config):
     """Generate, replay and evaluate the fixed 12-scenario suite."""
+    from .harness.suite import run_suite
+
     try:
         result = run_suite(out_dir, threshold=threshold, window=window,
                            engine_config=_load_engine_config(fuzzy_config))

@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .fuzzy import FuzzyEngine, STATUS_OK, SuspicionScore
 from .logs import DecisionLog, ErrorLog
-from .tracking import FeatureRecord
+
+if TYPE_CHECKING:  # the engine and records are passed in; neither is built here
+    from .fuzzy import FuzzyEngine, SuspicionScore
+    from .tracking import FeatureRecord
 
 INDOOR = "indoor"
 OUTDOOR = "outdoor"
@@ -112,7 +115,7 @@ def _alarm(score: SuspicionScore, threshold: float) -> bool:
 
     Input-error scores are forced to 0 by the engine and never alarm.
     """
-    return score.status == STATUS_OK and score.value >= threshold
+    return score.ok and score.value >= threshold
 
 
 @dataclass(frozen=True)

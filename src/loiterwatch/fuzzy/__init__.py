@@ -1,21 +1,18 @@
-"""Fuzzy scoring: membership curves, rule base, Mamdani inference."""
+"""Fuzzy scoring: membership curves, rule base, Mamdani inference.
 
-from .config import (config_from_dict, config_to_dict, default_config,
-                     load_config, save_config)
-from .engine import (AggregatedOutput, EngineConfig, FuzzyEngine,
-                     SuspicionScore, STATUS_INPUT_ERROR, STATUS_OK)
-from .membership import (ConfigurationError, FuzzifiedValue, HOLD,
-                         InputDataError, LinguisticVariable,
-                         MembershipFunction, ZERO, clamp)
-from .rules import And, Antecedent, Atom, Or, Rule, parse_antecedent
-from .validation import ValidationReport, Violation, validate_config
+Exports load on first access; see the ``loiterwatch`` package docstring.
+"""
 
-__all__ = [
-    "AggregatedOutput", "And", "Antecedent", "Atom", "ConfigurationError",
-    "EngineConfig", "FuzzifiedValue", "FuzzyEngine", "HOLD", "InputDataError",
-    "LinguisticVariable", "MembershipFunction", "Or", "Rule",
-    "STATUS_INPUT_ERROR", "STATUS_OK", "SuspicionScore", "ValidationReport",
-    "Violation", "ZERO", "clamp", "config_from_dict", "config_to_dict",
-    "default_config", "load_config", "parse_antecedent", "save_config",
-    "validate_config",
-]
+from .. import _lazy_exports
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "config": ("config_from_dict", "config_to_dict", "default_config",
+               "load_config", "save_config"),
+    "engine": ("AggregatedOutput", "EngineConfig", "FuzzyEngine",
+               "SuspicionScore", "STATUS_INPUT_ERROR", "STATUS_OK"),
+    "membership": ("ConfigurationError", "FuzzifiedValue", "HOLD",
+                   "InputDataError", "LinguisticVariable", "MembershipFunction",
+                   "ZERO", "clamp"),
+    "rules": ("And", "Antecedent", "Atom", "Or", "Rule", "parse_antecedent"),
+    "validation": ("ValidationReport", "Violation", "validate_config"),
+})

@@ -149,6 +149,22 @@ def _degrees(x: float, members: tuple) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _sample(member: MembershipFunction, grid: np.ndarray) -> np.ndarray:
+    """``member.evaluate`` at every grid point in one numpy pass, bit for
+    bit: the same extension rules, the exact degree at a breakpoint, and
+    ``d0 + (d1 - d0) * (x - x0) / (x1 - x0)`` in that order, then clamped.
+    Each numpy operation rounds as the scalar one does."""
+    first_x, left, last_x, right, xs, ds, dds, dxs = _compile_member(member)
+    k = np.searchsorted(xs, grid, side="right") - 1  # last breakpoint <= x
+    at = np.clip(k, 0, len(xs) - 1)
+    seg = np.clip(k, 0, len(xs) - 2)
+    x0 = np.take(xs, seg)
+    d = np.take(ds, seg) + np.take(dds, seg) * (grid - x0) / np.take(dxs, seg)
+    d = np.where((0.0 <= d) & (d <= 1.0), d, np.where(d < 0.0, 0.0, 1.0))
+    d = np.where(np.take(xs, at) == grid, np.take(ds, at), d)
+    return np.where(grid < first_x, left, np.where(grid > last_x, right, d))
+
+
 def _step(op, children: tuple[int, ...], steps: dict, base: int) -> int:
     """Slot of the value op(children), appending a step for a node not seen
     before; the step list starts writing at slot ``base``. A node with one
@@ -184,10 +200,7 @@ class FuzzyEngine:
         lo, hi = out.domain
         self._grid = np.linspace(lo, hi, self.config.grid_resolution)
         # Pre-sampled consequent curves, keyed by output label.
-        self._curves = {
-            m.label: np.array([m.evaluate(z) for z in self._grid])
-            for m in out.members
-        }
+        self._curves = {m.label: _sample(m, self._grid) for m in out.members}
         for rule in self.config.rules:
             if rule.consequent not in self._curves:
                 raise ConfigurationError(

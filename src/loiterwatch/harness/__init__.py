@@ -1,22 +1,20 @@
-"""Scenario generation, replay, evaluation and benchmarks."""
+"""Scenario generation, replay, evaluation and benchmarks.
 
-from .bench import (DecisionBenchResult, bench_decision, bench_transport,
-                    synthetic_records)
-from .dataset import DatasetError, STREAM_HEADER, group_frames, load_track_dataset
-from .evaluation import (EvaluationResult, MATCH_WINDOW, emit_report,
-                         evaluate, evaluate_scenario, load_timeline)
-from .replay import ReplayResult, ReplayStats, replay_scenario
-from .scenarios import (DEFAULT_SUITE, KINDS, LOITERING, NORMAL,
-                        LabelInterval, Scenario, generate_scenario,
-                        generate_suite)
-from .suite import SuiteResult, run_suite
+Exports load on first access; see the ``loiterwatch`` package docstring.
+"""
 
-__all__ = [
-    "DEFAULT_SUITE", "DatasetError", "DecisionBenchResult", "EvaluationResult",
-    "KINDS", "LOITERING", "LabelInterval", "MATCH_WINDOW", "NORMAL",
-    "ReplayResult", "ReplayStats", "STREAM_HEADER", "Scenario", "SuiteResult",
-    "bench_decision", "bench_transport", "emit_report", "evaluate",
-    "evaluate_scenario", "generate_scenario", "generate_suite",
-    "group_frames", "load_timeline", "load_track_dataset", "replay_scenario",
-    "run_suite", "synthetic_records",
-]
+from .. import _lazy_exports
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "bench": ("DecisionBenchResult", "bench_decision", "bench_transport",
+              "synthetic_records"),
+    "dataset": ("DatasetError", "STREAM_HEADER", "group_frames",
+                "load_track_dataset"),
+    "evaluation": ("EvaluationResult", "MATCH_WINDOW", "emit_report", "evaluate",
+                   "evaluate_scenario", "load_timeline"),
+    "replay": ("ReplayResult", "ReplayStats", "replay_scenario"),
+    "scenarios": ("DEFAULT_SUITE", "KINDS", "LOITERING", "NORMAL",
+                  "LabelInterval", "Scenario", "generate_scenario",
+                  "generate_suite"),
+    "suite": ("SuiteResult", "run_suite"),
+})

@@ -42,7 +42,6 @@ def load_track_dataset(path: str | Path) -> list[Detection]:
 
         last_frame: int | None = None
         last_ts: float | None = None
-        frame_ts: dict[int, float] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -64,9 +63,9 @@ def load_track_dataset(path: str | Path) -> list[Detection]:
                 raise DatasetError(f"{path}: line {lineno}: frame {frame} regresses past {last_frame}")
             if last_ts is not None and timestamp < last_ts:
                 raise DatasetError(f"{path}: line {lineno}: timestamp {timestamp} regresses past {last_ts}")
-            if frame in frame_ts and frame_ts[frame] != timestamp:
+            # Frames never regress, so a frame can only repeat the previous row's.
+            if frame == last_frame and timestamp != last_ts:
                 raise DatasetError(f"{path}: line {lineno}: frame {frame} has conflicting timestamps")
-            frame_ts[frame] = timestamp
             last_frame, last_ts = frame, timestamp
             detections.append(Detection(
                 frame_index=frame, timestamp=timestamp, box=(x, y, w, h),

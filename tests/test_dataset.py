@@ -85,6 +85,31 @@ def test_conflicting_frame_timestamps_rejected(tmp_path):
         load_track_dataset(path)
 
 
+@pytest.mark.parametrize("last_row,message", [
+    ("1,0.3,3,9.0,6.0,3.0,4.0,detector\n",
+     "line 5: frame 1 has conflicting timestamps"),
+    # An earlier timestamp is reported as a regression, which is checked first.
+    ("1,0.1,3,9.0,6.0,3.0,4.0,detector\n",
+     "line 5: timestamp 0.1 regresses past 0.2"),
+])
+def test_timestamp_change_inside_a_later_frame_rejected(tmp_path, last_row, message):
+    path = write(tmp_path,
+                 "0,0.0,1,1.0,2.0,3.0,4.0,detector\n"
+                 "1,0.2,1,1.0,2.0,3.0,4.0,detector\n"
+                 "1,0.2,2,5.0,6.0,3.0,4.0,detector\n" + last_row)
+    with pytest.raises(DatasetError, match=f": {message}$"):
+        load_track_dataset(path)
+
+
+def test_negative_first_frame_accepted(tmp_path):
+    path = write(tmp_path,
+                 "-3,0.0,1,1.0,2.0,3.0,4.0,detector\n"
+                 "-3,0.0,2,50.0,2.0,3.0,4.0,detector\n"
+                 "0,0.6,1,1.0,2.0,3.0,4.0,tracker\n")
+    rows = load_track_dataset(path)
+    assert [(r.frame_index, r.timestamp) for r in rows] == [(-3, 0.0), (-3, 0.0), (0, 0.6)]
+
+
 def test_group_frames_collects_rows_per_frame(tmp_path):
     path = write(tmp_path,
                  "0,0.0,1,1.0,2.0,3.0,4.0,detector\n"

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loiterwatch.fuzzy import (
     And,
@@ -14,6 +14,7 @@ from loiterwatch.fuzzy import (
     ConfigurationError,
     EngineConfig,
     FuzzyEngine,
+    HOLD,
     InputDataError,
     LinguisticVariable,
     MembershipFunction,
@@ -21,6 +22,7 @@ from loiterwatch.fuzzy import (
     Rule,
     STATUS_INPUT_ERROR,
     STATUS_OK,
+    ZERO,
     config_to_dict,
     default_config,
 )
@@ -172,6 +174,66 @@ def test_grid_refinement_stability(config):
         a = coarse.score_object(inputs).value
         b = fine.score_object(inputs).value
         assert a == pytest.approx(b, abs=0.05)
+
+
+def evaluated(member, grid):
+    """The reference samples: one ``MembershipFunction.evaluate`` call per point."""
+    return np.array([member.evaluate(z) for z in grid])
+
+
+@pytest.mark.parametrize("resolution", [5, 1001, 5001])
+def test_output_curves_equal_pointwise_evaluation(config, resolution):
+    from dataclasses import replace
+    engine = FuzzyEngine(replace(config, grid_resolution=resolution))
+    for member in config.output_variable.members:
+        curve = engine._curves[member.label]
+        assert curve.tobytes() == evaluated(member, engine.grid).tobytes(), member.label
+
+
+def ulps(x, steps):
+    """The float ``steps`` representable values above x (below for steps < 0)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def members_and_grids(draw):
+    """A curve with 2-5 breakpoints and a grid that holds a linspace over
+    and past its span, its breakpoints, and the floats a few ulps either
+    side of each, where rounding carries the interpolation past [0, 1]."""
+    xs = sorted(draw(st.lists(st.floats(-100, 100, allow_nan=False), min_size=2,
+                              max_size=5, unique=True)))
+    degree = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+    points = tuple((x, draw(degree)) for x in xs)
+    left, right = draw(st.sampled_from([HOLD, ZERO])), draw(st.sampled_from([HOLD, ZERO]))
+    pad = draw(st.floats(0, 10))
+    line = np.linspace(xs[0] - pad, xs[-1] + pad, draw(st.integers(2, 60)))
+    near = [ulps(x, k) for x in xs for k in (-3, -2, -1, 1, 2, 3)]
+    grid = np.concatenate([line, np.array(xs + near)])
+    return MembershipFunction("m", points, left, right), grid
+
+
+# A falling segment sampled one ulp below its end, where the interpolation
+# rounds to -6.9e-18 and the clamp returns 0.0.
+CLAMPED = (MembershipFunction("m", ((-7.273998251224491, 0.061865719343514924),
+                                    (1.3183308786834154, 0.0))),
+           np.array([1.3183308786834151]))
+
+
+def test_clamp_case_rounds_below_zero():
+    member, grid = CLAMPED
+    (x0, d0), (x1, d1) = member.breakpoints
+    assert d0 + (d1 - d0) * (grid[0] - x0) / (x1 - x0) < 0.0
+    assert engine_module._sample(member, grid).tobytes() == np.array([0.0]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=members_and_grids())
+@example(case=CLAMPED)
+def test_sampled_curve_equals_pointwise_evaluation(case):
+    member, grid = case
+    assert engine_module._sample(member, grid).tobytes() == evaluated(member, grid).tobytes()
 
 
 OUTPUT_LABELS = ("very-low", "low", "medium", "high", "very-high")
