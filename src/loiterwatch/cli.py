@@ -13,9 +13,9 @@ from pathlib import Path
 import click
 
 from .context import AlarmPolicy, load_policy
-from .harness.evaluation import (MATCH_WINDOW, EvaluationResult, emit_report,
-                                 evaluate_scenario, load_timeline)
+from .harness.evaluation import MATCH_WINDOW, EvaluationResult, emit_report, evaluate_scenario
 from .harness.scenarios import KINDS, Scenario, generate_scenario
+from .logs import DecisionLog
 
 # The engine (numpy) and the transport (cryptography) are imported inside
 # the commands that run them, so ``--help`` and the light commands load
@@ -92,7 +92,9 @@ def replay_scenario(*args, **kwargs):
               help="Sleep between frames at the scenario fps.")
 def replay(scenario_json, out_dir, fuzzy_config, policy_path, transport, mode,
            transport_config, pace):
-    """Replay a scenario through the pipeline; writes timeline + decisions."""
+    """Replay a scenario through the pipeline; writes its decision log."""
+    if transport != "loopback" and (mode or transport_config):
+        raise click.UsageError("--mode and --transport-config need --transport loopback")
     try:
         scenario = Scenario.load(scenario_json)
         engine_config = _load_engine_config(fuzzy_config)
@@ -120,21 +122,21 @@ def replay(scenario_json, out_dir, fuzzy_config, policy_path, transport, mode,
         _fail("replay", exc)
     alarms = sum(1 for *_ , alarm in result.timeline if alarm)
     click.echo(f"replayed {scenario.name}: {result.stats.decisions} decisions, "
-               f"{alarms} alarm rows -> {result.timeline_path}")
+               f"{alarms} alarm rows -> {result.decisions_path}")
 
 
 @main.command()
 @click.argument("scenario_json", type=click.Path(exists=True, dir_okay=False))
-@click.argument("timeline_csv", type=click.Path(exists=True, dir_okay=False))
+@click.argument("decisions_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--threshold", type=float, default=60.0, show_default=True)
 @click.option("--window", type=float, default=MATCH_WINDOW, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the result as JSON here.")
-def evaluate(scenario_json, timeline_csv, threshold, window, out_path):
-    """Score a replayed timeline against its scenario labels."""
+def evaluate(scenario_json, decisions_csv, threshold, window, out_path):
+    """Score a replay's decision log against its scenario labels."""
     try:
         scenario = Scenario.load(scenario_json)
-        timeline = load_timeline(timeline_csv)
+        timeline = DecisionLog.read(decisions_csv).timeline
         result = evaluate_scenario(scenario, timeline, threshold, window)
         if out_path:
             out = Path(out_path)

@@ -11,7 +11,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "dataset": ("DatasetError", "STREAM_HEADER", "group_frames",
                 "load_track_dataset"),
     "evaluation": ("EvaluationResult", "MATCH_WINDOW", "emit_report", "evaluate",
-                   "evaluate_scenario", "load_timeline"),
+                   "evaluate_scenario"),
     "replay": ("ReplayResult", "ReplayStats", "replay_scenario"),
     "scenarios": ("DEFAULT_SUITE", "KINDS", "LOITERING", "NORMAL",
                   "LabelInterval", "Scenario", "generate_scenario",

@@ -1,12 +1,12 @@
 """Alarm evaluation against labeled intervals, plus report emission.
 
-An alarm row is any timeline entry whose score clears the evaluation
-threshold (the threshold is re-applied here, so the same replay can be
-scored at different operating points). A labeled loitering interval counts
-one TP when any alarm falls inside [start, end + window]; otherwise it is
-one FN. Alarms outside every window are false positives, collapsed per
-track: consecutive out-of-window alarms gapped by at most the window
-length merge into a single FP.
+An alarm row is any entry of a decision log's timeline whose score clears
+the evaluation threshold (the threshold is re-applied here, so the same
+replay can be scored at different operating points). A labeled loitering
+interval counts one TP when any alarm falls inside [start, end + window];
+otherwise it is one FN. Alarms outside every window are false positives,
+collapsed per track: consecutive out-of-window alarms gapped by at most the
+window length merge into a single FP.
 """
 
 from __future__ import annotations
@@ -113,13 +113,3 @@ def emit_report(results: list[EvaluationResult], out_dir: str | Path) -> Path:
                          f"{r.wall_s:.4f}", str(max_rss)] for r in results]
         write_csv(out_dir / "runtime.csv", RUNTIME_HEADER, runtime_rows)
     return report_path
-
-
-def load_timeline(path: str | Path) -> list[tuple[float, int, float, bool]]:
-    """Read back a timeline CSV written by replay."""
-    rows = Path(path).read_text(encoding="utf-8").splitlines()
-    out = []
-    for row in rows[1:]:
-        ts, tid, score, alarm = row.split(",")
-        out.append((float(ts), int(tid), float(score), alarm == "1"))
-    return out

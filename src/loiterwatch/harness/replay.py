@@ -1,13 +1,12 @@
 """Scenario replay through the full pipeline.
 
-Replays drive the edge extractor frame by frame (including empty frames,
-synthesized from the scenario fps, so staleness rules see time passing),
-feed the resulting records to the fog pipeline either in-process or over a
-loopback transport link, and collect a per-object score timeline plus the
-decision log. Records carry their own timestamps, so replay speed never
-changes outcomes: pacing only affects wall-clock duration. A loopback
-replay that does not deliver every record raises instead of returning a
-truncated result.
+One tick loop drives the edge extractor frame by frame (including empty
+frames, synthesized from the scenario fps, so staleness rules see time
+passing) and sends each record to the fog, in-process or over a loopback
+link; only the latter imports the transport. The fog's decision log is the
+replay's one per-object record. Records carry their own timestamps, so
+replay speed never changes outcomes. A loopback replay that does not
+deliver every record raises instead of returning a truncated result.
 """
 
 from __future__ import annotations
@@ -15,14 +14,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..context import AlarmPolicy, FogPipeline
 from ..fuzzy import EngineConfig, FuzzyEngine, default_config
-from ..logs import DecisionLog, ErrorLog, TIMELINE_HEADER, write_csv
+from ..logs import DecisionLog, ErrorLog
 from ..tracking import TrackerParams, TrackFeatureExtractor
-from ..transport import FeatureSender, FogReceiver, TransportConfig
 from .dataset import group_frames, load_track_dataset
 from .scenarios import Scenario
+
+if TYPE_CHECKING:
+    from ..transport import TransportConfig
 
 
 @dataclass
@@ -39,35 +41,21 @@ class ReplayStats:
 @dataclass
 class ReplayResult:
     scenario: Scenario
-    timeline: list[tuple[float, int, float, bool]] = field(default_factory=list)
     decision_log: DecisionLog = field(default_factory=DecisionLog)
     stats: ReplayStats = field(default_factory=ReplayStats)
-    timeline_path: Path | None = None
     decisions_path: Path | None = None
 
-    def write(self, out_dir: str | Path) -> None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        self.timeline_path = out_dir / f"{self.scenario.name}.timeline.csv"
-        self.decisions_path = out_dir / f"{self.scenario.name}.decisions.csv"
-        write_csv(self.timeline_path, TIMELINE_HEADER,
-                  [[f"{ts:.4f}", str(tid), f"{score:.4f}", str(int(alarm))]
-                   for ts, tid, score, alarm in self.timeline])
-        self.decision_log.write(self.decisions_path)
+    @property
+    def timeline(self) -> list[tuple[float, int, float, bool]]:
+        return self.decision_log.timeline
 
 
 def _frame_ticks(scenario: Scenario, detections) -> list[tuple[int, float, list]]:
     """Every frame tick over the stream span, empty frames included."""
-    groups = {frame: rows for frame, _, rows in group_frames(detections)}
+    groups = {frame: (timestamp, rows) for frame, timestamp, rows in group_frames(detections)}
     last_frame = max(groups) if groups else int(round(scenario.duration * scenario.fps))
-    ticks = []
-    for frame in range(last_frame + 1):
-        timestamp = scenario.start_timestamp + frame / scenario.fps
-        rows = groups.get(frame, [])
-        if rows:
-            timestamp = rows[0].timestamp
-        ticks.append((frame, timestamp, rows))
-    return ticks
+    return [(frame, *groups.get(frame, (scenario.start_timestamp + frame / scenario.fps, [])))
+            for frame in range(last_frame + 1)]
 
 
 def replay_scenario(scenario: Scenario,
@@ -81,44 +69,38 @@ def replay_scenario(scenario: Scenario,
     """Run one scenario end to end; transport=None keeps it in-process."""
     engine = FuzzyEngine(engine_config or default_config(),
                          error_log=error_log or ErrorLog())
-    fog = FogPipeline(
-        engine, cameras={scenario.camera.camera_id: scenario.camera},
-        policy=policy or AlarmPolicy())
+    camera_id = scenario.camera.camera_id
+    fog = FogPipeline(engine, cameras={camera_id: scenario.camera},
+                      policy=policy or AlarmPolicy())
     extractor = TrackFeatureExtractor(tracker_params, error_log=engine.error_log)
     result = ReplayResult(scenario=scenario, decision_log=fog.decision_log)
+    ticks = _frame_ticks(scenario, load_track_dataset(scenario.detections_path))
 
-    detections = load_track_dataset(scenario.detections_path)
-    ticks = _frame_ticks(scenario, detections)
-
-    def consume(camera_id: str, record) -> None:
+    def consume(record, camera_id: str) -> None:
         t0 = time.perf_counter()
         reports = fog.process_record(camera_id, record)
         result.stats.total_decide_s += time.perf_counter() - t0
         result.stats.decisions += len(reports)
-        for report in reports:
-            result.timeline.append(
-                (report.timestamp, report.track_id, report.score.value, report.alarm))
 
-    started = time.perf_counter()
-    if transport is None:
+    def run(send) -> None:
+        """The tick loop: pace, extract, and send each record on."""
         for frame, timestamp, rows in ticks:
             if pace and frame:
                 time.sleep(1.0 / scenario.fps)
-            record = extractor.process_frame(rows, frame, timestamp)
-            consume(scenario.camera.camera_id, record)
+            send(extractor.process_frame(rows, frame, timestamp), camera_id)
+
+    started = time.perf_counter()
+    if transport is None:
+        run(consume)
     else:
-        receiver = FogReceiver(
-            transport, on_message=lambda m: consume(m.camera_id, m.record))
+        from ..transport import FeatureSender, FogReceiver, TransportConfig
+
+        receiver = FogReceiver(transport, on_message=lambda m: consume(m.record, m.camera_id))
         receiver.start()
-        sender_config = TransportConfig(**{**transport.__dict__, "port": receiver.port})
-        sender = FeatureSender(sender_config)
+        sender = FeatureSender(TransportConfig(**{**transport.__dict__, "port": receiver.port}))
         sender.connect()
         try:
-            for frame, timestamp, rows in ticks:
-                if pace and frame:
-                    time.sleep(1.0 / scenario.fps)
-                record = extractor.process_frame(rows, frame, timestamp)
-                sender.send_record(record, scenario.camera.camera_id)
+            run(sender.send_record)
             # Records the sender never handed to its socket cannot arrive.
             unsent = sender.flush()
             deadline = time.monotonic() + 30.0
@@ -138,5 +120,7 @@ def replay_scenario(scenario: Scenario,
     result.stats.wall_s = time.perf_counter() - started
 
     if out_dir is not None:
-        result.write(out_dir)
+        result.decisions_path = Path(out_dir) / f"{scenario.name}.decisions.csv"
+        result.decisions_path.parent.mkdir(parents=True, exist_ok=True)
+        fog.decision_log.write(result.decisions_path)
     return result

@@ -1,10 +1,10 @@
 """Append-only operational logs shared by the edge and fog sides.
 
 Error lines are tab-separated ``ISO8601-timestamp<TAB>object-id<TAB>reason``
-so they can be grepped and joined against decision logs. Decision and
-timeline logs are plain CSV with a fixed header; every value written to them
-is derived from record data (never from the wall clock) so replaying the
-same stream twice produces byte-identical files.
+so they can be grepped and joined against decision logs. The decision log
+is plain CSV with a fixed header; every value written to it is derived from
+record data (never from the wall clock) so replaying the same stream twice
+produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 DECISION_HEADER = ["timestamp", "camera_id", "track_id", "score", "threshold", "alarm", "status"]
-TIMELINE_HEADER = ["timestamp", "track_id", "score", "alarm"]
 
 
 class ErrorLog:
@@ -51,6 +50,25 @@ class DecisionLog:
             f"{score:.4f}", f"{threshold:.4f}", "1" if alarm else "0", status,
         ])
 
+    @classmethod
+    def read(cls, path: str | Path) -> DecisionLog:
+        """Load a log written by ``write``; any other file raises ValueError."""
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = list(csv.reader(fh))
+        if lines[:1] != [DECISION_HEADER]:
+            raise ValueError(f"{path}: line 1: not a decision log header")
+        for number, row in enumerate(lines[1:], start=2):
+            try:
+                _timeline_entry(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+        return cls(rows=lines[1:])
+
+    @property
+    def timeline(self) -> list[tuple[float, int, float, bool]]:
+        """(timestamp, track_id, score, alarm) per row, as logged."""
+        return [_timeline_entry(row) for row in self.rows]
+
     def write(self, path: str | Path) -> None:
         write_csv(path, DECISION_HEADER, self.rows)
 
@@ -60,6 +78,11 @@ class DecisionLog:
         writer.writerow(DECISION_HEADER)
         writer.writerows(self.rows)
         return buf.getvalue().encode("utf-8")
+
+
+def _timeline_entry(row: list[str]) -> tuple[float, int, float, bool]:
+    timestamp, _camera, track_id, score, _threshold, alarm, _status = row
+    return float(timestamp), int(track_id), float(score), alarm == "1"
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> None:

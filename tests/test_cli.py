@@ -52,10 +52,9 @@ def test_replay_summarizes_the_run(runner, workspace):
                                   "--out", str(workspace / "runs2")])
     assert result.exit_code == 0
     assert re.fullmatch(
-        r"replayed l1: \d+ decisions, [1-9]\d* alarm rows -> .*l1\.timeline\.csv\n",
+        r"replayed l1: \d+ decisions, [1-9]\d* alarm rows -> .*l1\.decisions\.csv\n",
         result.output)
-    assert (workspace / "runs2" / "l1.timeline.csv").exists()
-    assert (workspace / "runs2" / "l1.decisions.csv").exists()
+    assert sorted(p.name for p in (workspace / "runs2").iterdir()) == ["l1.decisions.csv"]
 
 
 def test_replay_over_loopback_transport(runner, workspace):
@@ -70,11 +69,25 @@ def test_replay_over_loopback_transport(runner, workspace):
     assert routed == direct
 
 
+@pytest.mark.parametrize("flag,value", [("--mode", "symmetric"),
+                                        ("--transport-config", "transport.json")])
+def test_replay_rejects_link_options_without_loopback(runner, workspace, flag, value):
+    descriptor = workspace / "scen" / "l1.scenario.json"
+    if flag == "--transport-config":
+        value = workspace / value
+        value.write_text(json.dumps({"mode": "plaintext"}))
+    result = runner.invoke(main, ["replay", str(descriptor), "--out", str(workspace / "runs4"),
+                                  flag, str(value)])
+    assert result.exit_code == 2
+    assert "--transport loopback" in result.stderr
+    assert not (workspace / "runs4").exists()
+
+
 def test_evaluate_prints_counts_and_writes_json(runner, workspace, tmp_path):
     descriptor = workspace / "scen" / "l1.scenario.json"
-    timeline = workspace / "runs" / "l1.timeline.csv"
+    decisions = workspace / "runs" / "l1.decisions.csv"
     out = tmp_path / "evals" / "eval.json"  # parent dir is created on demand
-    result = runner.invoke(main, ["evaluate", str(descriptor), str(timeline),
+    result = runner.invoke(main, ["evaluate", str(descriptor), str(decisions),
                                   "--out", str(out)])
     assert result.exit_code == 0
     assert result.output == "l1: events=1 tp=1 fp=0 fn=0\n"
@@ -86,20 +99,29 @@ def test_evaluate_prints_counts_and_writes_json(runner, workspace, tmp_path):
 
 def test_evaluate_rejects_garbage_timeline(runner, workspace, tmp_path):
     descriptor = workspace / "scen" / "l1.scenario.json"
-    bad = tmp_path / "bad.csv"
-    bad.write_text("timestamp,track_id,score,alarm\nnot,numbers,at,all\n")
-    result = runner.invoke(main, ["evaluate", str(descriptor), str(bad)])
-    assert result.exit_code == 1
-    assert result.stderr.startswith("evaluate: ")
+    header = "timestamp,camera_id,track_id,score,threshold,alarm,status\n"
+    cases = {
+        "old-timeline": "timestamp,track_id,score,alarm\n1.5000,3,62.5000,1\n",
+        "garbage": "timestamp,track_id,score,alarm\nnot,numbers,at,all\n",
+        "bad-number": header + "1.5000,cam-1,three,62.5000,60.0000,1,ok\n",
+        "short-row": header + "1.5000,cam-1,3,62.5000,60.0000,1,ok\n1.7000,cam-1,3\n",
+        "empty": "",
+    }
+    for name, text in cases.items():
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(text)
+        result = runner.invoke(main, ["evaluate", str(descriptor), str(bad)])
+        assert result.exit_code == 1, name
+        assert result.stderr.startswith(f"evaluate: {bad}: line "), (name, result.stderr)
 
 
 def test_report_aggregates_eval_files(runner, workspace, tmp_path):
     descriptor = workspace / "scen" / "l1.scenario.json"
-    timeline = workspace / "runs" / "l1.timeline.csv"
+    decisions = workspace / "runs" / "l1.decisions.csv"
     evals = []
     for i, threshold in enumerate((60.0, 90.0)):
         out = tmp_path / f"e{i}.json"
-        runner.invoke(main, ["evaluate", str(descriptor), str(timeline),
+        runner.invoke(main, ["evaluate", str(descriptor), str(decisions),
                              "--threshold", str(threshold), "--out", str(out)])
         evals.append(str(out))
     result = runner.invoke(main, ["report", *evals,

@@ -7,8 +7,8 @@ from loiterwatch.harness import (
     LabelInterval,
     emit_report,
     evaluate,
-    load_timeline,
 )
+from loiterwatch.logs import DecisionLog
 
 
 def rows(*entries):
@@ -130,8 +130,14 @@ def test_no_runtime_file_without_decisions(tmp_path):
 
 
 def test_load_timeline_round_trip(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("timestamp,track_id,score,alarm\n"
-                    "1.5000,3,62.5000,1\n"
-                    "2.0000,3,10.0000,0\n")
-    assert load_timeline(path) == [(1.5, 3, 62.5, True), (2.0, 3, 10.0, False)]
+    log = DecisionLog()
+    log.append(1.5, "cam-1", 3, 62.5, 60.0, True, "ok")
+    log.append(2.0, "cam-1", 3, 10.0, 60.0, False, "ok")
+    path = tmp_path / "t.decisions.csv"
+    log.write(path)
+    assert path.read_text() == ("timestamp,camera_id,track_id,score,threshold,alarm,status\n"
+                                "1.5000,cam-1,3,62.5000,60.0000,1,ok\n"
+                                "2.0000,cam-1,3,10.0000,60.0000,0,ok\n")
+    loaded = DecisionLog.read(path)
+    assert loaded.rows == log.rows
+    assert loaded.timeline == [(1.5, 3, 62.5, True), (2.0, 3, 10.0, False)]

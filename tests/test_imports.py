@@ -1,9 +1,9 @@
 """What each side of the pipeline imports, and the packages' lazy exports.
 
 The edge (tracker, transport, stream loader) runs without numpy, and the
-in-process fog without the transport or cryptography. Each footprint is
-checked in a fresh interpreter, since the test process has loaded
-everything already.
+in-process fog and in-process replay without the transport or
+cryptography. Each footprint is checked in a fresh interpreter, since the
+test process has loaded everything already.
 """
 
 from __future__ import annotations
@@ -74,6 +74,19 @@ def test_in_process_fog_scores_without_transport():
     """, ("numpy", "cryptography", "loiterwatch.transport", "loiterwatch.fuzzy.validation"))
     # numpy is loaded by the time the engine is built, not on its first score.
     assert loaded == {"numpy"}
+
+
+def test_in_process_replay_loads_no_transport(tmp_path):
+    loaded = loaded_after(f"""
+        from pathlib import Path
+        from loiterwatch.harness import generate_scenario, replay_scenario
+
+        out = Path({str(tmp_path)!r})
+        scenario = generate_scenario("loiter", out / "scen", seed=3, duration=20)
+        result = replay_scenario(scenario, out_dir=out / "runs")
+        assert result.stats.decisions and result.decisions_path.exists()
+    """, ("cryptography", "loiterwatch.transport"))
+    assert loaded == set()
 
 
 def test_cli_help_loads_neither_numpy_nor_cryptography():

@@ -2,12 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from loiterwatch.harness import (
-    evaluate_scenario,
-    generate_scenario,
-    load_timeline,
-    replay_scenario,
-)
+from loiterwatch.harness import evaluate_scenario, generate_scenario, replay_scenario
+from loiterwatch.logs import DecisionLog
 from loiterwatch.transport import TransportConfig
 
 
@@ -51,15 +47,12 @@ def test_alarm_flags_agree_with_logged_thresholds(night_loiter, tmp_path):
 def test_written_timeline_round_trips(night_loiter, tmp_path):
     result = replay_scenario(night_loiter, out_dir=tmp_path)
     name = night_loiter.name
-    assert result.timeline_path == tmp_path / f"{name}.timeline.csv"
     assert result.decisions_path == tmp_path / f"{name}.decisions.csv"
-    loaded = load_timeline(result.timeline_path)
-    assert len(loaded) == len(result.timeline)
-    for got, kept in zip(loaded, result.timeline):
-        assert got[0] == pytest.approx(kept[0], abs=1e-4)
-        assert got[1] == kept[1]
-        assert got[2] == pytest.approx(kept[2], abs=1e-4)
-        assert got[3] == kept[3]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.decisions.csv"]
+    loaded = DecisionLog.read(result.decisions_path)
+    assert loaded.as_bytes() == result.decision_log.as_bytes()
+    assert loaded.timeline == result.timeline
+    assert result.timeline
 
 
 def test_replay_is_deterministic(night_loiter):
@@ -127,7 +120,7 @@ def test_loopback_replay_names_records_left_unsent(night_loiter, monkeypatch):
     import re
     import time
 
-    from loiterwatch.harness import replay as replay_module
+    import loiterwatch.transport as transport_module
     from loiterwatch.transport import FeatureSender, FogReceiver
 
     receivers = []
@@ -155,8 +148,9 @@ def test_loopback_replay_names_records_left_unsent(night_loiter, monkeypatch):
         def flush(self, timeout=10.0):
             return super().flush(timeout=min(timeout, 0.5))
 
-    monkeypatch.setattr(replay_module, "FogReceiver", Receiver)
-    monkeypatch.setattr(replay_module, "FeatureSender", Sender)
+    # Loopback replay imports these from the package when it runs.
+    monkeypatch.setattr(transport_module, "FogReceiver", Receiver)
+    monkeypatch.setattr(transport_module, "FeatureSender", Sender)
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="loopback replay incomplete") as excinfo:
         replay_scenario(night_loiter, transport=TransportConfig(mode="plaintext"))
