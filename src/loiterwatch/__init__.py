@@ -10,7 +10,7 @@ the pipeline (in-process or over TCP) and evaluates alarm quality.
 The package, ``loiterwatch.fuzzy`` and ``loiterwatch.harness`` load their
 exports on first access (PEP 562), so each side imports only its own
 layers: the edge's tracker and transport load no numpy, and the in-process
-fog loads no transport or cryptography.
+fog loads neither numpy nor the transport and cryptography.
 """
 
 import sys

@@ -17,8 +17,8 @@ from .harness.evaluation import MATCH_WINDOW, EvaluationResult, emit_report, eva
 from .harness.scenarios import KINDS, Scenario, generate_scenario
 from .logs import DecisionLog
 
-# The engine (numpy) and the transport (cryptography) are imported inside
-# the commands that run them, so ``--help`` and the light commands load
+# The engine and the transport (cryptography) are imported inside the
+# commands that run them, so ``--help`` and the light commands load
 # neither.
 
 MODES = ("plaintext", "symmetric", "handshake-then-symmetric")

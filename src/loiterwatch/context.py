@@ -111,11 +111,15 @@ def _object_inputs(dwell_time: float, speed_change_count: int,
 
 
 def _alarm(score: SuspicionScore, threshold: float) -> bool:
-    """An object alarms when an ok score reaches the threshold.
+    """An object alarms when an ok score, rounded to the 4 decimals the
+    decision log writes, reaches the threshold.
 
+    Deciding on the logged value keeps every row's alarm equal to its own
+    score column, whatever the centroid's last bits are: an envelope
+    symmetric about 50 can score 49.99999999999999, which logs 50.0000.
     Input-error scores are forced to 0 by the engine and never alarm.
     """
-    return score.ok and score.value >= threshold
+    return score.ok and round(score.value, 4) >= threshold
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,24 @@
 """Mamdani-style inference: fuzzify, clip, aggregate, centroid.
 
-The engine is safe to share across threads. Output member curves are
-pre-sampled on a uniform grid over the output domain. Inference reduces the
-rule weights to one weight per output label, the strongest premise weight
-among the enabled rules that conclude it, clips each label's curve at that
-weight and aggregates by pointwise maximum. Clipping per label instead of
-per rule gives the same envelope, because max_i min(w_i, c) == min(max_i
-w_i, c) at every grid point. Defuzzification is the centroid of that
-envelope on the same grid.
+The engine is safe to share across threads. Inference reduces the rule
+weights to one weight per output label, the strongest premise weight among
+the enabled rules that conclude it, clips each label's curve at that weight
+and aggregates by pointwise maximum. Clipping per label instead of per rule
+gives the same envelope, because max_i min(w_i, c) == min(max_i w_i, c) at
+every point. The score is the centroid of that envelope on a uniform grid of
+``grid_resolution`` points over the output domain.
 
-``score_record`` runs a form of this compiled when the engine is built: a
+The centroid is computed in closed form, compiled when the engine is built.
+The output members' breakpoints cut the domain into spans on which every
+curve is one line; a grid point on a cut keeps each curve's degree there.
+Per weight vector, the envelope over a span is piecewise linear, so its sum
+and first moment over the span's grid points are closed forms per piece
+(``_centroid``). ``aggregate`` and ``defuzzify`` keep the sampled reference:
+the curves sampled on ``grid`` with numpy, clipped, maxed and summed. The
+scoring path never calls them, so scoring imports no numpy; they import it
+on first use. The two agree to rounding, about 1e-13 on the 0-100 scale.
+
+``score_record`` runs the rules compiled when the engine is built too: a
 flat degree list with one slot per (variable, label), then one flat step
 list in which each distinct AND/OR node, and each label's max over its
 premises, is one (min|max, child slots) step writing the next slot. Per
@@ -19,27 +28,28 @@ are > 0, and the folded values are computed per record. Each object then
 fuzzifies only its own inputs and runs the residual steps. Bounded memos
 skip work already done: each own input's degrees per crisp float, each
 object's score per (shared degrees, own degrees), and the centroid per
-per-label weight vector, so ``aggregate`` and ``defuzzify`` run only for a
-weight vector not seen before. Every memo holds what the same pure
-computation returned, so scores are bit-identical to the tree walk over
-``fuzzify_all``, ``Rule.evaluate``, ``aggregate`` and ``defuzzify``.
+per-label weight vector. Every memo holds what the same pure computation
+returned, so scores are bit-identical to the tree walk over ``fuzzify_all``
+and ``Rule.evaluate`` followed by ``centroid``.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..logs import ErrorLog
 from .membership import (HOLD, ConfigurationError, FuzzifiedValue,
                          InputDataError, LinguisticVariable, MembershipFunction,
                          crisp_input)
 from .rules import And, Antecedent, Atom, Rule
+
+if TYPE_CHECKING:  # the sampled reference imports numpy on first use
+    import numpy as np
 
 STATUS_OK = "ok"
 STATUS_INPUT_ERROR = "input-error"
@@ -154,6 +164,8 @@ def _sample(member: MembershipFunction, grid: np.ndarray) -> np.ndarray:
     bit: the same extension rules, the exact degree at a breakpoint, and
     ``d0 + (d1 - d0) * (x - x0) / (x1 - x0)`` in that order, then clamped.
     Each numpy operation rounds as the scalar one does."""
+    import numpy as np
+
     first_x, left, last_x, right, xs, ds, dds, dxs = _compile_member(member)
     k = np.searchsorted(xs, grid, side="right") - 1  # last breakpoint <= x
     at = np.clip(k, 0, len(xs) - 1)
@@ -163,6 +175,134 @@ def _sample(member: MembershipFunction, grid: np.ndarray) -> np.ndarray:
     d = np.where((0.0 <= d) & (d <= 1.0), d, np.where(d < 0.0, 0.0, 1.0))
     d = np.where(np.take(xs, at) == grid, np.take(ds, at), d)
     return np.where(grid < first_x, left, np.where(grid > last_x, right, d))
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` bit for bit: i * step + lo, then hi last."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
+def _compile_centroid(members: Sequence[MembershipFunction],
+                      domain: tuple[float, float], n: int) -> tuple:
+    """The output curves laid out for ``_centroid``: (lo, step, points, spans).
+
+    Every breakpoint inside the domain, and both domain ends, cut the grid
+    (``_linspace``) into open spans on which each curve is one line. A grid
+    point on a cut is a point (index, (member position, degree) per member
+    with a degree > 0 there), each degree the one ``_sample`` gives. A
+    span with grid points is (first index i0, last index - i0, lines), a
+    line being (member position, degree at index i0, change per grid step)
+    for each member not 0 over the span; the degree at i0 is computed as
+    ``_sample`` computes it.
+    """
+    lo, hi = domain
+    grid = _linspace(lo, hi, n)
+    step = (hi - lo) / (n - 1)
+    compiled = [_compile_member(m) for m in members]
+    cuts = sorted({lo, hi, *(x for m in members for x, _ in m.breakpoints if lo < x < hi)})
+    points = []
+    for cut in cuts:
+        i = bisect_left(grid, cut)
+        if i < n and grid[i] == cut:
+            degrees = tuple((k, d) for k, d in enumerate(_degrees(cut, compiled)) if d > 0.0)
+            if degrees:
+                points.append((i, degrees))
+    spans = []
+    for start, end in zip(cuts, cuts[1:]):
+        i0, i1 = bisect_right(grid, start), bisect_left(grid, end) - 1
+        if i0 > i1:
+            continue
+        x, lines = grid[i0], []
+        for k, (first_x, left, last_x, right, xs, ds, dds, dxs) in enumerate(compiled):
+            if x < first_x:
+                a, b = left, 0.0
+            elif x > last_x:
+                a, b = right, 0.0
+            else:  # no breakpoint lies inside the span, so x is not one
+                s = bisect_right(xs, x) - 1
+                a, b = ds[s] + dds[s] * (x - xs[s]) / dxs[s], dds[s] / dxs[s] * step
+            if a or b:
+                lines.append((k, a, b))
+        if lines:
+            spans.append((i0, i1 - i0, tuple(lines)))
+    return lo, step, tuple(points), tuple(spans)
+
+
+def _span_sums(weights: Sequence[float], lines: tuple, last: int) -> tuple[float, float]:
+    """(sum of e(j), sum of j * e(j)) over j = 0..last, where e(j) is the
+    max over a span's (k, a, b) ``lines`` with weights[k] > 0 of
+    min(weights[k], a + b * j).
+
+    Each clipped line is one of two pieces at a time, its line or flat at
+    its weight, and switches once, where the line crosses the weight.
+    Between switches, the max of the pieces is walked from the left: stay
+    on the top piece until the first steeper piece overtakes it. Over each
+    stretch of j that one piece tops, the sums are closed forms.
+    """
+    pieces, switches = [], []  # switches: (where, piece index, the piece after)
+    for k, a, b in lines:
+        w = weights[k]
+        if w > 0.0:
+            if b and 0.0 < (t := (w - a) / b) < last:
+                switches.append((t, len(pieces), (w, 0.0) if b > 0.0 else (a, b)))
+            pieces.append((a, b) if a < w or (a == w and b < 0.0) else (w, 0.0))
+    if not pieces:
+        return 0.0, 0.0
+    switches.sort()
+    switches.append((last, -1, None))
+    top = pieces.index(max(pieces))  # highest at j = 0, the steeper of a tie
+    a, b = pieces[top]
+    mass = moment = 0.0
+    first = 0  # the first j not yet summed
+    for end, switched, after in switches:
+        while True:
+            until, steeper = end, -1
+            for k, (a2, b2) in enumerate(pieces):
+                if b2 > b:
+                    t = (a - a2) / (b2 - b)
+                    if t < until:
+                        until, steeper = t, k
+            if steeper < 0 and 0 <= switched != top:
+                break  # the top piece runs on past this switch
+            stop = int(until) if until < last else last
+            if stop >= first:
+                # a + b * j summed over j = first..stop, and weighted by j,
+                # about the stretch's middle.
+                count = stop - first + 1
+                middle = 0.5 * (first + stop)
+                level = a + b * middle
+                mass += count * level
+                moment += count * (middle * level + b * (count * count - 1) / 12.0)
+                first = stop + 1
+            if steeper < 0:
+                break
+            top = steeper
+            a, b = pieces[top]
+        if switched >= 0:
+            pieces[switched] = after
+            a, b = pieces[top]
+    return mass, moment
+
+
+def _centroid(plan: tuple, weights: Sequence[float]) -> float:
+    """The centroid of max_k min(weights[k], curve k) on the grid, from a
+    ``_compile_centroid`` plan; 0 for an envelope with no mass."""
+    lo, step, points, spans = plan
+    mass = moment = 0.0  # sums of e(i) and i * e(i) over grid indices i
+    for i, degrees in points:
+        e = 0.0
+        for k, d in degrees:
+            v = weights[k] if weights[k] < d else d
+            if v > e:
+                e = v
+        mass += e
+        moment += i * e
+    for i0, last, lines in spans:
+        m, mj = _span_sums(weights, lines, last)
+        mass += m
+        moment += i0 * m + mj
+    return lo + step * (moment / mass) if mass > 0.0 else 0.0
 
 
 def _step(op, children: tuple[int, ...], steps: dict, base: int) -> int:
@@ -197,12 +337,9 @@ class FuzzyEngine:
 
     def __post_init__(self):
         out = self.config.output_variable
-        lo, hi = out.domain
-        self._grid = np.linspace(lo, hi, self.config.grid_resolution)
-        # Pre-sampled consequent curves, keyed by output label.
-        self._curves = {m.label: _sample(m, self._grid) for m in out.members}
+        labels = out.labels()
         for rule in self.config.rules:
-            if rule.consequent not in self._curves:
+            if rule.consequent not in labels:
                 raise ConfigurationError(
                     f"rule {rule.rule_id!r}: output variable has no label {rule.consequent!r}")
         self._inputs = [(name, self.config.variable(name)) for name in self.config.input_names]
@@ -216,7 +353,7 @@ class FuzzyEngine:
                          tuple(_compile_member(m) for m in variable.members)))
         self._fuzzify_plan = tuple(plan)
         steps: dict[tuple, int] = {}
-        premises: dict[str, list[int]] = {label: [] for label in self._curves}
+        premises: dict[str, list[int]] = {label: [] for label in labels}
         for rule in self.config.rules:
             if rule.enabled:
                 premises[rule.consequent].append(
@@ -226,6 +363,9 @@ class FuzzyEngine:
         # Each label's weight, the max over its premises, is one more step.
         self._weight_slots = tuple(_step(max, p, steps, len(slots)) for p in fired.values())
         self._steps = tuple(steps)  # (op, child slots), writing slots len(slots)...
+        self._centroid_plan = _compile_centroid(
+            [out.member(label) for label in self._weight_labels], out.domain,
+            self.config.grid_resolution)
         self._programs: dict[tuple, tuple] = {}
         self._degree_memos: dict[str, dict[float, tuple[float, ...]]] = {
             name: {} for name, _ in self._inputs}
@@ -233,9 +373,18 @@ class FuzzyEngine:
         self._centroids: dict[tuple[float, ...], SuspicionScore] = {}
         self._memo_lock = threading.Lock()
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
-        return self._grid
+        """The output grid, ``np.linspace`` over the output domain."""
+        import numpy as np
+
+        lo, hi = self.config.output_variable.domain
+        return np.linspace(lo, hi, self.config.grid_resolution)
+
+    @cached_property
+    def _curves(self) -> dict[str, np.ndarray]:
+        """Each output member sampled on ``grid``, keyed by label."""
+        return {m.label: _sample(m, self.grid) for m in self.config.output_variable.members}
 
     def fuzzify_all(self, inputs: Mapping[str, float]) -> dict[str, FuzzifiedValue]:
         env = {}
@@ -249,8 +398,11 @@ class FuzzyEngine:
         """Clip each output label's curve at its weight and take the pointwise max.
 
         Labels with zero weight are skipped and left out of activations.
+        This and ``defuzzify`` are the sampled reference for ``centroid``.
         """
-        envelope = np.zeros_like(self._grid)
+        import numpy as np
+
+        envelope = np.zeros_like(self.grid)
         activations: dict[str, float] = {}
         for label, w in weights.items():
             if label not in self._curves:
@@ -259,7 +411,7 @@ class FuzzyEngine:
                 continue
             activations[label] = w
             np.maximum(envelope, np.minimum(w, self._curves[label]), out=envelope)
-        return AggregatedOutput(grid=self._grid, envelope=envelope, activations=activations)
+        return AggregatedOutput(grid=self.grid, envelope=envelope, activations=activations)
 
     def defuzzify(self, agg: AggregatedOutput) -> SuspicionScore:
         """Centroid of the envelope; an all-zero envelope scores 0."""
@@ -268,6 +420,21 @@ class FuzzyEngine:
             return SuspicionScore(value=0.0)
         value = float((agg.grid * agg.envelope).sum() / mass)
         return SuspicionScore(value=value)
+
+    def centroid(self, weights: Mapping[str, float]) -> SuspicionScore:
+        """``defuzzify(aggregate(weights))`` in closed form, as the scoring
+        path computes it; the two agree to rounding."""
+        out = self.config.output_variable
+        labels = out.labels()
+        for label in weights:
+            if label not in labels:
+                raise ConfigurationError(f"no output member {label!r}")
+        plan, order = self._centroid_plan, self._weight_labels
+        if any(w > 0.0 and label not in order for label, w in weights.items()):
+            # A label no enabled rule concludes: lay out every member.
+            plan, order = _compile_centroid(out.members, out.domain,
+                                            self.config.grid_resolution), labels
+        return SuspicionScore(value=_centroid(plan, [weights.get(label, 0.0) for label in order]))
 
     def _fuzzify(self, inputs: Mapping[str, float], plan: tuple, degrees: list[float]) -> None:
         """Append the degree of every member of the variables in ``plan``,
@@ -399,6 +566,7 @@ class FuzzyEngine:
         record = (split, tuple(values))
         folded = False
         remember, known, centroids = self._remember, self._scores, self._centroids
+        centroid_plan = self._centroid_plan
         scores = []
         for i, inputs in enumerate(objects):
             key = [record]
@@ -441,8 +609,8 @@ class FuzzyEngine:
                 weights = tuple([degrees[s] for s in weight_slots])
                 score = centroids.get(weights)
                 if score is None:
-                    score = remember(centroids, weights, self.defuzzify(
-                        self.aggregate(dict(zip(self._weight_labels, weights)))))
+                    score = remember(centroids, weights,
+                                     SuspicionScore(value=_centroid(centroid_plan, weights)))
                 remember(known, key, score)
             scores.append(score)
         return scores

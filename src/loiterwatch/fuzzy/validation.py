@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .engine import EngineConfig
+from .engine import EngineConfig, _linspace
 from .membership import HOLD, LinguisticVariable, MembershipFunction
 
 COVERAGE_FLOOR = 0.5
@@ -44,15 +42,13 @@ class ValidationReport:
 
 
 def _coverage_gaps(var: LinguisticVariable, samples: int) -> list[tuple[float, float]]:
-    """Intervals of the domain where max membership drops below the floor."""
-    xs = np.linspace(var.domain[0], var.domain[1], samples)
-    best = np.zeros_like(xs)
-    for m in var.members:
-        best = np.maximum(best, [m.evaluate(x) for x in xs])
-    failing = best < COVERAGE_FLOOR
+    """Intervals of the domain where max membership drops below the floor,
+    sampled at the points of ``np.linspace`` over the domain."""
+    xs = _linspace(*var.domain, samples)
     gaps: list[tuple[float, float]] = []
     start = None
-    for x, bad in zip(xs, failing):
+    for x in xs:
+        bad = max((m.evaluate(x) for m in var.members), default=0.0) < COVERAGE_FLOOR
         if bad and start is None:
             start = x
         elif not bad and start is not None:

@@ -96,19 +96,22 @@ def replay_scenario(scenario: Scenario,
         from ..transport import FeatureSender, FogReceiver, TransportConfig
 
         receiver = FogReceiver(transport, on_message=lambda m: consume(m.record, m.camera_id))
-        receiver.start()
-        sender = FeatureSender(TransportConfig(**{**transport.__dict__, "port": receiver.port}))
-        sender.connect()
         try:
-            run(sender.send_record)
-            # Records the sender never handed to its socket cannot arrive.
-            unsent = sender.flush()
-            deadline = time.monotonic() + 30.0
-            while (len(receiver.latency.samples) + receiver.rejected + receiver.duplicates
-                   < len(ticks) - unsent and time.monotonic() < deadline):
-                time.sleep(0.005)
+            receiver.start()
+            sender = FeatureSender(TransportConfig(**{**transport.__dict__,
+                                                      "port": receiver.port}))
+            try:
+                sender.connect()
+                run(sender.send_record)
+                # Records the sender never handed to its socket cannot arrive.
+                unsent = sender.flush()
+                deadline = time.monotonic() + 30.0
+                while (len(receiver.latency.samples) + receiver.rejected + receiver.duplicates
+                       < len(ticks) - unsent and time.monotonic() < deadline):
+                    time.sleep(0.005)
+            finally:
+                sender.close()
         finally:
-            sender.close()
             receiver.stop()
         delivered = len(receiver.latency.samples)
         if delivered < len(ticks):

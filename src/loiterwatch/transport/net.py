@@ -145,13 +145,17 @@ class FeatureSender:
     def connect(self) -> None:
         sock = socket.create_connection(
             (self.config.host, self.config.port), timeout=self.config.connect_timeout)
-        sock.settimeout(None)
-        # Frames are small; without this Nagle stalls them behind delayed acks.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if self.config.mode == "handshake-then-symmetric":
-            session = self._handshake(sock)
-        else:
-            session = make_sender_session(self.config)
+        try:
+            sock.settimeout(None)
+            # Frames are small; without this Nagle stalls them behind delayed acks.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.config.mode == "handshake-then-symmetric":
+                session = self._handshake(sock)
+            else:
+                session = make_sender_session(self.config)
+        except BaseException:
+            sock.close()  # a failed handshake leaves no socket open
+            raise
         with self._lock:
             self._sock, self._session = sock, session
         if self._writer is None:

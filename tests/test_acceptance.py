@@ -91,7 +91,7 @@ def test_centroid_against_brute_force(capsys, config, engine):
     for _ in range(100):
         weights = {lab: rng.random() if rng.random() < 0.85 else 0.0
                    for lab in labels}
-        got = engine.defuzzify(engine.aggregate(weights)).value
+        got = engine.centroid(weights).value
         want = centroid_of_activations(config_dict, weights,
                                        10 * config.grid_resolution)
         worst = max(worst, abs(got - want))

@@ -17,7 +17,8 @@ from loiterwatch.context import (
     load_cameras,
     load_policy,
 )
-from loiterwatch.fuzzy import FuzzyEngine, default_config
+from loiterwatch.fuzzy import FuzzyEngine, SuspicionScore, default_config
+from loiterwatch.logs import DecisionLog, ErrorLog
 from loiterwatch.tracking import FeatureRecord, ObjectFeatures
 
 
@@ -118,6 +119,17 @@ class TestCameraContext:
                 cam(security_level=level)
 
 
+class FixedScore:
+    """An engine that scores every object at one value."""
+
+    def __init__(self, value):
+        self.value = value
+        self.error_log = ErrorLog()
+
+    def score_record(self, shared, objects, object_ids):
+        return [SuspicionScore(value=self.value) for _ in objects]
+
+
 def record_with(dwell, speed=0, direction=0, people=1, ts=3600.0 * 3):
     objects = tuple(
         ObjectFeatures(track_id=i + 1, dwell_time=dwell,
@@ -158,6 +170,21 @@ class TestDecide:
         assert report.score.status == "input-error"
         assert report.score.value == 0.0
         assert not report.alarm  # 0 >= 0, yet status blocks the alarm
+
+    @pytest.mark.parametrize("value,alarm", [
+        (49.99999999999999, True),  # logs 50.0000
+        (49.99995000001, True),  # logs 50.0000
+        (49.99995, False),  # stored just below, so it logs 49.9999
+        (50.0, True),
+    ])
+    def test_alarm_follows_the_logged_score(self, value, alarm):
+        log = DecisionLog()
+        pipeline = FogPipeline(FixedScore(value), cameras={"cam-1": cam(security_level=2)},
+                               decision_log=log)
+        [report] = pipeline.process_record("cam-1", record_with(dwell=1.0))
+        assert report.threshold == 50.0 and report.alarm is alarm
+        _, _, _, score, threshold, logged_alarm, _ = log.rows[0]
+        assert logged_alarm == ("1" if float(score) >= float(threshold) else "0")
 
 
 class TestFogPipeline:

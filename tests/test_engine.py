@@ -265,6 +265,74 @@ def test_full_pipeline_matches_oracle(engine, config, hour, dwell, speed,
     assert engine.score_object(inputs).value == pytest.approx(ref, abs=1e-9)
 
 
+# -- the closed-form centroid against the sampled reference -----------------
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6), n=st.integers(2, 3000))
+def test_grid_equals_numpy_linspace(lo, width, n):
+    assert engine_module._linspace(lo, lo + width, n) == np.linspace(lo, lo + width, n).tolist()
+
+
+def reference_centroid(engine, weights):
+    return engine.defuzzify(engine.aggregate(weights)).value
+
+
+@st.composite
+def output_engines(draw):
+    """An engine whose output variable has 1-5 random curves: HOLD or ZERO
+    extensions, breakpoints inside and outside the domain, some of them on
+    grid points, and degrees 0, 1 or in between. One input's rules
+    conclude a random non-empty subset of the labels."""
+    resolution = draw(st.sampled_from([2, 5, 1001, 5001]))
+    lo = draw(st.floats(-100, 100))
+    hi = lo + draw(st.floats(0.5, 200))
+    grid = np.linspace(lo, hi, resolution)
+    on_grid = st.integers(0, resolution - 1).map(lambda i: float(grid[i]))
+    off_grid = st.floats(lo - (hi - lo) / 4, hi + (hi - lo) / 4)
+    degree = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(1e-3, 1.0))
+    members = []
+    for k in range(draw(st.integers(1, 5))):
+        xs = sorted(draw(st.lists(st.one_of(on_grid, off_grid), min_size=2, max_size=4,
+                                  unique=True)))
+        members.append(MembershipFunction(
+            f"m{k}", tuple((x, draw(degree)) for x in xs),
+            draw(st.sampled_from([HOLD, ZERO])), draw(st.sampled_from([HOLD, ZERO]))))
+    out = LinguisticVariable("y", (lo, hi), tuple(members))
+    x = LinguisticVariable("x", (0.0, 1.0), (MembershipFunction("a", ((0.0, 1.0), (1.0, 0.0))),))
+    fired = draw(st.lists(st.sampled_from(out.labels()), min_size=1, unique=True))
+    rules = tuple(Rule(f"r-{label}", Atom("x", "a"), label) for label in fired)
+    return FuzzyEngine(EngineConfig(variables=(x, out), output="y", rules=rules,
+                                    grid_resolution=resolution))
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine=output_engines(), data=st.data())
+def test_centroid_matches_sampled_reference(engine, data):
+    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1.0))
+    labels = engine.config.output_variable.labels()
+    weights = dict(zip(labels, data.draw(st.lists(weight, min_size=len(labels),
+                                                    max_size=len(labels)))))
+    got = engine.centroid(weights).value
+    assert got == pytest.approx(reference_centroid(engine, weights), abs=1e-9)
+
+
+@pytest.mark.parametrize("weights,expected", [
+    ({}, 0.0),
+    (dict.fromkeys(OUTPUT_LABELS, 0.0), 0.0),
+    # An envelope symmetric about 50, whose sampled centroid is 49.99999999999999.
+    ({"medium": 0.75}, 50.0),
+    ({"medium": 0.5}, 50.0),
+])
+def test_centroid_pinned_cases(engine, weights, expected):
+    assert engine.centroid(weights).value == pytest.approx(expected, abs=1e-9)
+    assert reference_centroid(engine, weights) == pytest.approx(expected, abs=1e-9)
+
+
+def test_centroid_rejects_an_unknown_label(engine):
+    with pytest.raises(ConfigurationError, match="bogus"):
+        engine.centroid({"bogus": 0.5})
+
+
 def test_envelope_never_exceeds_strongest_weight(engine):
     agg = engine.aggregate({"medium": 0.4, "high": 0.7})
     assert float(agg.envelope.max()) <= 0.7 + 1e-12
@@ -275,12 +343,13 @@ def test_envelope_never_exceeds_strongest_weight(engine):
 
 def tree_walk(engine, inputs):
     """Score through the public pieces: fuzzify, per-rule premise weights,
-    each label's strongest weight, aggregate, centroid."""
+    each label's strongest weight, then the closed-form centroid, which
+    the tests below compare with the sampled ``aggregate``/``defuzzify``."""
     env = engine.fuzzify_all(inputs)
     rules = [r for r in engine.config.rules if r.enabled]
     weights = {label: max(r.evaluate(env) for r in rules if r.consequent == label)
                for label in {r.consequent for r in rules}}
-    return engine.defuzzify(engine.aggregate(weights)).value
+    return engine.centroid(weights).value
 
 
 def assert_exact(engine, inputs):

@@ -1,7 +1,7 @@
 """What each side of the pipeline imports, and the packages' lazy exports.
 
 The edge (tracker, transport, stream loader) runs without numpy, and the
-in-process fog and in-process replay without the transport or
+in-process fog and in-process replay without numpy, the transport or
 cryptography. Each footprint is checked in a fresh interpreter, since the
 test process has loaded everything already.
 """
@@ -72,8 +72,28 @@ def test_in_process_fog_scores_without_transport():
         [report] = pipeline.process_record("cam-1", record)
         assert report.score.ok and report.alarm, report
     """, ("numpy", "cryptography", "loiterwatch.transport", "loiterwatch.fuzzy.validation"))
-    # numpy is loaded by the time the engine is built, not on its first score.
-    assert loaded == {"numpy"}
+    assert loaded == set()
+
+
+def test_fog_set_up_and_replay_load_no_numpy(tmp_path):
+    """The set-up a fresh fog node runs (package, config, engine,
+    pipeline), then a whole in-process replay."""
+    loaded = loaded_after(f"""
+        from pathlib import Path
+        import loiterwatch
+        from loiterwatch.fuzzy import default_config
+
+        camera = loiterwatch.CameraContext(camera_id="cam-probe")
+        loiterwatch.FogPipeline(loiterwatch.FuzzyEngine(default_config()),
+                                cameras={{camera.camera_id: camera}})
+        from loiterwatch.harness import generate_scenario, replay_scenario
+
+        out = Path({str(tmp_path)!r})
+        scenario = generate_scenario("crowd", out / "scen", seed=1, people=6, duration=20)
+        result = replay_scenario(scenario)
+        assert result.stats.decisions, result.stats
+    """, ("numpy",))
+    assert loaded == set()
 
 
 def test_in_process_replay_loads_no_transport(tmp_path):

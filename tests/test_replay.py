@@ -161,3 +161,18 @@ def test_loopback_replay_names_records_left_unsent(night_loiter, monkeypatch):
     unsent, sent, delivered = map(int, counts.groups())
     assert delivered == stop_after
     assert unsent == sent - stop_after > 0
+
+
+def test_failed_handshake_leaves_no_receiver_running(night_loiter):
+    import threading
+
+    from loiterwatch.transport import FrameRejected, generate_keypair
+
+    private, _ = generate_keypair()
+    _, other_public = generate_keypair()
+    config = TransportConfig(mode="handshake-then-symmetric", server_private_key_pem=private,
+                             server_public_key_pem=other_public)
+    before = threading.active_count()
+    with pytest.raises(FrameRejected):
+        replay_scenario(night_loiter, transport=config)
+    assert threading.active_count() == before

@@ -2,22 +2,27 @@
 
 The digests below were recorded from ``run_suite(out, threshold=60.0)`` and
 from an in-process replay of a seeded 30-person crowd, with the shipped
-fuzzy config and policy under numpy 2.4, whose summation order the centroid
-depends on. The suite scores about 1.6 objects per record; the crowd, about
+fuzzy config and policy; the suite's and first three crowds' digests
+predate the closed-form centroid and held across it. The suite scores about 1.6 objects per record; the crowd, about
 9, exercises the fog node's per-record loop. Two more streams run on the
 hour's ramps (a crowd at 06:00, two people at 17:00), where every record
-brings new shared degrees and so new keys for the fog's score memo. A change that keeps decisions
-byte-identical keeps this test green; a change that moves any score, alarm
+brings new shared degrees and so new keys for the fog's score memo. Two
+more replay the crowd on cameras whose threshold is not 60: security level
+2 (threshold 50, where an envelope symmetric about 50 scores within a few
+ulps of it, below or above) and outdoor after hours (threshold 55). A
+change that keeps decisions byte-identical keeps this test green; a change that moves any score, alarm
 or count fails it and must re-record the digests together with an
 explanation of why the outputs moved.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from loiterwatch.context import CameraContext
 from loiterwatch.harness import generate_scenario, replay_scenario, run_suite
 
 SUITE_DIGESTS = {
@@ -87,5 +92,27 @@ def test_ramp_hour_decision_logs_match_recorded_digests(tmp_path, people, hour):
                                  duration=120, jitter=2.0, hour=hour)
     log = replay_scenario(scenario).decision_log
     rows, digest = RAMP_DIGESTS[(people, hour)]
+    assert len(log.rows) == rows
+    assert hashlib.sha256(log.as_bytes()).hexdigest() == digest
+
+
+# The 30-person crowd on other cameras: name -> (camera settings, hour,
+# rows, sha256 of the decision log).
+CAMERA_DIGESTS = {
+    "level-2-2200": ({"security_level": 2}, 22, 3896,
+                     "19b6868c3a5112a53d0c8676a062593559b6011cba6ec74e720703604fa08bdc"),
+    "outdoor-0200": ({"placement": "outdoor"}, 2, 3896,
+                     "71085517778bb6612371cc2ae869b1a1a6d866bd2be27fd1d8e3d317637c8d2d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMERA_DIGESTS))
+def test_other_camera_decision_logs_match_recorded_digests(tmp_path, name):
+    camera, hour, rows, digest = CAMERA_DIGESTS[name]
+    scenario = generate_scenario("crowd", tmp_path, seed=1, people=30,
+                                 duration=120, jitter=2.0, hour=hour)
+    scenario = dataclasses.replace(scenario, camera=CameraContext(
+        camera_id=scenario.camera.camera_id, **camera))
+    log = replay_scenario(scenario).decision_log
     assert len(log.rows) == rows
     assert hashlib.sha256(log.as_bytes()).hexdigest() == digest
