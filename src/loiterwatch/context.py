@@ -111,15 +111,15 @@ def _object_inputs(dwell_time: float, speed_change_count: int,
 
 
 def _alarm(score: SuspicionScore, threshold: float) -> bool:
-    """An object alarms when an ok score, rounded to the 4 decimals the
-    decision log writes, reaches the threshold.
+    """An object alarms when an ok score reaches the threshold, both
+    rounded to the 4 decimals the decision log writes.
 
-    Deciding on the logged value keeps every row's alarm equal to its own
-    score column, whatever the centroid's last bits are: an envelope
+    Deciding on the logged values keeps every row's alarm equal to its own
+    score and threshold columns, whatever their last bits are: an envelope
     symmetric about 50 can score 49.99999999999999, which logs 50.0000.
     Input-error scores are forced to 0 by the engine and never alarm.
     """
-    return score.ok and round(score.value, 4) >= threshold
+    return score.ok and round(score.value, 4) >= round(threshold, 4)
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,12 @@ on first use. The two agree to rounding, about 1e-13 on the 0-100 scale.
 flat degree list with one slot per (variable, label), then one flat step
 list in which each distinct AND/OR node, and each label's max over its
 premises, is one (min|max, child slots) step writing the next slot. Per
-record, the inputs shared by all its objects are fuzzified once and folded
-into the step list; the folded list is memoized on which of their degrees
-are > 0, and the folded values are computed per record. Each object then
-fuzzifies only its own inputs and runs the residual steps. Bounded memos
-skip work already done: each own input's degrees per crisp float, each
-object's score per (shared degrees, own degrees), and the centroid per
-per-label weight vector. Every memo holds what the same pure computation
-returned, so scores are bit-identical to the tree walk over ``fuzzify_all``
-and ``Rule.evaluate`` followed by ``centroid``.
+record, the inputs shared by all its objects are fuzzified once. Bounded
+memos skip work already done: each own input's degrees per crisp float,
+each object's score per its degrees of every variable, and the centroid
+per per-label weight vector. Every memo holds what the same pure
+computation returned, so scores are bit-identical to the tree walk over
+``fuzzify_all`` and ``Rule.evaluate`` followed by ``centroid``.
 """
 
 from __future__ import annotations
@@ -57,11 +54,10 @@ STATUS_INPUT_ERROR = "input-error"
 DEFAULT_GRID_RESOLUTION = 1001
 
 # Most entries each of an engine's memos keeps: centroids per distinct
-# per-label weight vector, folded step lists per split of the inputs and
-# pattern of positive shared degrees, degree tuples per own input and crisp
-# value, and scores per (shared degrees, own degrees). A full memo is
-# emptied and refills, so it follows a drifting input mix. Streams need far
-# fewer: a 30-person, 120 s crowd yields 285 weight vectors.
+# per-label weight vector, degree tuples per own input and crisp value, and
+# scores per object's degrees. A full memo is emptied and refills, so it
+# follows a drifting input mix. Streams need far fewer: a 30-person, 120 s
+# crowd yields 285 weight vectors.
 CENTROID_MEMO_CAP = 4096
 
 
@@ -362,11 +358,11 @@ class FuzzyEngine:
         self._weight_labels = tuple(fired)
         # Each label's weight, the max over its premises, is one more step.
         self._weight_slots = tuple(_step(max, p, steps, len(slots)) for p in fired.values())
-        self._steps = tuple(steps)  # (op, child slots), writing slots len(slots)...
+        # (op, getter of the child slots), writing slots len(slots)...
+        self._steps = tuple((op, itemgetter(*children)) for op, children in steps)
         self._centroid_plan = _compile_centroid(
             [out.member(label) for label in self._weight_labels], out.domain,
             self.config.grid_resolution)
-        self._programs: dict[tuple, tuple] = {}
         self._degree_memos: dict[str, dict[float, tuple[float, ...]]] = {
             name: {} for name, _ in self._inputs}
         self._scores: dict[tuple, SuspicionScore] = {}
@@ -436,93 +432,6 @@ class FuzzyEngine:
                                             self.config.grid_resolution), labels
         return SuspicionScore(value=_centroid(plan, [weights.get(label, 0.0) for label in order]))
 
-    def _fuzzify(self, inputs: Mapping[str, float], plan: tuple, degrees: list[float]) -> None:
-        """Append the degree of every member of the variables in ``plan``,
-        in slot order."""
-        for name, domain, members in plan:
-            if name not in inputs:
-                raise InputDataError(f"missing input {name!r}")
-            degrees += _degrees(crisp_input(name, inputs[name], domain), members)
-
-    def _specialize(self, split: tuple[bool, ...], positive: tuple[bool, ...]) -> tuple:
-        """The step list folded on the shared inputs, for every record
-        whose shared degrees are > 0 exactly where ``positive`` says.
-
-        ``split`` marks the shared variables. A step whose children are all
-        shared is computed once per record, before any object, and so is
-        the op over the shared children of a mixed step. A min whose shared
-        part is <= 0 is then that part; a max drops its shared part when
-        that is <= 0, and otherwise takes it as one more child. Whether a
-        min or max of shared degrees is > 0 follows from which of them are
-        > 0, so the folded layout depends only on ``positive``, which takes
-        a handful of values where the degrees themselves take one per
-        record on a membership ramp.
-
-        Returns (shared steps, per-object plan, residual steps, weight
-        slots) over a degree list laid out as the shared degrees, the
-        shared steps' values, the per-object input degrees, then one slot
-        per residual step. Each per-object plan entry carries its
-        variable's degree memo.
-
-        min and max are exact, so a folded value equals the value the full
-        list would compute, up to the sign of a zero. The two folds at
-        <= 0 can differ from it only where both values are <= 0; through
-        min and max that stays true of every weight they feed, and
-        ``aggregate`` skips every weight <= 0, so scores do not change.
-        """
-        shared: dict[int, int] = {}  # step-list slot -> shared value index
-        local: dict[int, int] = {}  # per-object degree j and residual step k as j, P + k
-        signs = list(positive)  # whether each shared value is > 0
-        shared_steps: list[tuple] = []
-
-        def fold(op, refs: list[int]) -> int:
-            """Index of the shared value op(refs), adding a shared step."""
-            if len(refs) == 1:
-                return refs[0]
-            shared_steps.append((op, refs))
-            signs.append((all if op is min else any)(signs[r] for r in refs))
-            return len(signs) - 1
-
-        plan = []
-        slots = 0
-        for is_shared, entry in zip(split, self._fuzzify_plan):
-            if not is_shared:
-                plan.append((*entry, self._degree_memos[entry[0]]))
-            for slot in range(slots, slots + len(entry[2])):
-                if is_shared:
-                    shared[slot] = len(shared)
-                else:
-                    local[slot] = len(local)
-            slots += len(entry[2])
-        base = len(local)
-        residual: list[tuple] = []
-        for slot, (op, children) in enumerate(self._steps, slots):
-            values = [shared[c] for c in children if c in shared]
-            if len(values) == len(children):
-                shared[slot] = fold(op, values)
-                continue
-            refs = [local[c] for c in children if c not in shared]
-            if values:
-                value = fold(op, values)
-                if signs[value]:
-                    refs.append(-1 - value)
-                elif op is min:
-                    shared[slot] = value
-                    continue
-            if len(refs) == 1:
-                local[slot] = refs[0]
-            else:
-                local[slot] = base + len(residual)
-                residual.append((op, refs))
-        weights = [-1 - shared[s] if s in shared else local[s] for s in self._weight_slots]
-
-        def place(ref: int) -> int:
-            return ref + len(signs) if ref >= 0 else -1 - ref
-
-        return (tuple((op, itemgetter(*refs)) for op, refs in shared_steps), tuple(plan),
-                tuple((op, itemgetter(*map(place, refs))) for op, refs in residual),
-                tuple(map(place, weights)))
-
     def _remember(self, memo: dict, key, value):
         """Store a memo entry, emptying a full memo first; returns value."""
         with self._memo_lock:
@@ -538,40 +447,34 @@ class FuzzyEngine:
         each object's inputs merged with ``shared``.
 
         ``shared`` holds the inputs common to all objects (a value there
-        overrides an object's own). They are fuzzified once and folded
-        into the rule program, so each object evaluates only what depends
-        on its own inputs. An own input that is exactly a ``float`` takes
-        its degrees from that variable's memo, and an object whose own
-        degrees were scored before on the same shared degrees takes that
-        score. An object whose inputs fail, shared ones included, gets what
-        ``score_object`` gives it: input-error, value 0, the same detail,
-        and one error-log line under its id.
+        overrides an object's own); they are fuzzified once per record. An
+        own input that is exactly a ``float`` takes its degrees from that
+        variable's memo, and an object whose degrees were scored before
+        takes that score. An object whose inputs fail, shared ones
+        included, gets what ``score_object`` gives it: input-error, value
+        0, the same detail, and one error-log line under its id.
         """
         if not objects:
             return []
-        split = tuple([name in shared for name, _, _ in self._fuzzify_plan])
-        values: list[float] = []
+        # Per variable, in variable order: a shared input's degrees, or None
+        # where each object puts its own.
+        layout, plan = [], []
         try:
-            self._fuzzify(shared, [e for e, s in zip(self._fuzzify_plan, split) if s], values)
+            for slot, (name, domain, members) in enumerate(self._fuzzify_plan):
+                if name in shared:
+                    layout.append(_degrees(crisp_input(name, shared[name], domain), members))
+                else:
+                    layout.append(None)
+                    plan.append((slot, name, domain, members, self._degree_memos[name]))
         except InputDataError:
             return [self.score_object({**inputs, **shared}, object_ids[i])
                     for i, inputs in enumerate(objects)]
-        key = (split, tuple([d > 0.0 for d in values]))
-        program = self._programs.get(key)
-        if program is None:
-            program = self._remember(self._programs, key, self._specialize(*key))
-        shared_steps, plan, steps, weight_slots = program
-        # The shared degrees fix the folded program and its shared values;
-        # those are computed at the record's first object not scored before.
-        record = (split, tuple(values))
-        folded = False
         remember, known, centroids = self._remember, self._scores, self._centroids
-        centroid_plan = self._centroid_plan
         scores = []
         for i, inputs in enumerate(objects):
-            key = [record]
+            key = layout.copy()
             try:
-                for name, domain, members, memo in plan:
+                for slot, name, domain, members, memo in plan:
                     if name not in inputs:
                         raise InputDataError(f"missing input {name!r}")
                     x = inputs[name]
@@ -584,7 +487,7 @@ class FuzzyEngine:
                                                              members))
                     else:
                         own = _degrees(crisp_input(name, x, domain), members)
-                    key.append(own)
+                    key[slot] = own
             except InputDataError as exc:
                 # The shared inputs are valid, so this is the first bad
                 # input in variable order, as score_object would report.
@@ -595,22 +498,15 @@ class FuzzyEngine:
             key = tuple(key)
             score = known.get(key)
             if score is None:
-                if not folded:
-                    append = values.append
-                    for op, children in shared_steps:
-                        append(op(children(values)))
-                    folded = True
-                degrees = values.copy()
-                for own in key[1:]:
-                    degrees += own
+                degrees = [d for part in key for d in part]
                 append = degrees.append
-                for op, children in steps:
+                for op, children in self._steps:
                     append(op(children(degrees)))
-                weights = tuple([degrees[s] for s in weight_slots])
+                weights = tuple([degrees[s] for s in self._weight_slots])
                 score = centroids.get(weights)
                 if score is None:
-                    score = remember(centroids, weights,
-                                     SuspicionScore(value=_centroid(centroid_plan, weights)))
+                    score = remember(centroids, weights, SuspicionScore(
+                        value=_centroid(self._centroid_plan, weights)))
                 remember(known, key, score)
             scores.append(score)
         return scores

@@ -80,10 +80,6 @@ class Session:
         return body
 
 
-class PlaintextSession(Session):
-    mode_byte = MODE_PLAINTEXT
-
-
 class SymmetricSession(Session):
     """AES-256-GCM per frame; random nonce prepended to the ciphertext."""
 
@@ -173,7 +169,7 @@ def unwrap_session_key(config: TransportConfig, wrapped: bytes,
 def make_sender_session(config: TransportConfig) -> Session:
     """Session for modes that need no key exchange (plaintext/symmetric)."""
     if config.mode == "plaintext":
-        return PlaintextSession()
+        return Session()
     if config.mode == "symmetric":
         return SymmetricSession(psk_from_config(config))
     raise ValueError("handshake mode sessions are established per connection")

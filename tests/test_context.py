@@ -171,18 +171,22 @@ class TestDecide:
         assert report.score.value == 0.0
         assert not report.alarm  # 0 >= 0, yet status blocks the alarm
 
-    @pytest.mark.parametrize("value,alarm", [
-        (49.99999999999999, True),  # logs 50.0000
-        (49.99995000001, True),  # logs 50.0000
-        (49.99995, False),  # stored just below, so it logs 49.9999
-        (50.0, True),
+    @pytest.mark.parametrize("base,value,alarm", [
+        pytest.param(60.0, 49.99999999999999, True,  # logs 50.0000
+                     id="49.99999999999999-True"),
+        pytest.param(60.0, 49.99995000001, True, id="49.99995000001-True"),  # logs 50.0000
+        # Stored just below, so it logs 49.9999.
+        pytest.param(60.0, 49.99995, False, id="49.99995-False"),
+        pytest.param(60.0, 50.0, True, id="50.0-True"),
+        # The threshold 55.00004 and the score both log 55.0000.
+        pytest.param(65.00004, 55.00002, True, id="base-65.00004-55.00002-True"),
     ])
-    def test_alarm_follows_the_logged_score(self, value, alarm):
+    def test_alarm_follows_the_logged_score(self, base, value, alarm):
         log = DecisionLog()
         pipeline = FogPipeline(FixedScore(value), cameras={"cam-1": cam(security_level=2)},
-                               decision_log=log)
+                               policy=AlarmPolicy(base_threshold=base), decision_log=log)
         [report] = pipeline.process_record("cam-1", record_with(dwell=1.0))
-        assert report.threshold == 50.0 and report.alarm is alarm
+        assert report.threshold == base - 10.0 and report.alarm is alarm
         _, _, _, score, threshold, logged_alarm, _ = log.rows[0]
         assert logged_alarm == ("1" if float(score) >= float(threshold) else "0")
 

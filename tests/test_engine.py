@@ -138,10 +138,10 @@ def test_compiled_degrees_stay_in_unit_range():
     ))
     engine = FuzzyEngine(EngineConfig(variables=(x, config.variable("y")), output="y",
                                       rules=config.rules))
-    degrees = []
-    engine._fuzzify({"x": probe}, engine._fuzzify_plan, degrees)
+    _, _, members = engine._fuzzify_plan[0]
+    degrees = engine_module._degrees(probe, members)
     assert degrees[0] == 0.0
-    assert degrees == list(x.fuzzify(probe).degrees.values())
+    assert list(degrees) == list(x.fuzzify(probe).degrees.values())
 
 
 def test_silent_rule_base_scores_zero():
@@ -489,7 +489,7 @@ def assert_record_exact(engine, objects, shared_names):
     shared, own = as_record(objects, shared_names)
     ids = [f"cam/{i}" for i in range(len(own))]
     expected = [tree_walk(engine, o) for o in objects]
-    for _ in range(2):  # a specialization memo miss, then a hit
+    for _ in range(2):  # a score memo miss, then a hit
         scores = engine.score_record(shared, own, ids)
         assert [s.status for s in scores] == [STATUS_OK] * len(objects)
         assert [s.value for s in scores] == expected
@@ -522,6 +522,21 @@ def test_score_record_equals_tree_walk_at_edges(engine, shared_names):
         records.setdefault(key, []).append(inputs)
     for objects in records.values():
         assert_record_exact(engine, objects, shared_names)
+
+
+@pytest.mark.parametrize("shared_names", [
+    ("speed-changes", "people-count"), ("dwell-time",), ("hour", "direction-changes")],
+    ids="+".join)
+@pytest.mark.parametrize("hour", HOURS)
+def test_score_record_equals_tree_walk_on_other_splits(engine, shared_names, hour):
+    """Shared inputs interleaved with own ones in variable order. The
+    objects of a record take their shared values from one OWN entry."""
+    for people in (1.0, 4.5, 12.0):
+        for common in OWN:
+            fixed = {name: common[name] for name in shared_names if name in common}
+            objects = [{"hour": hour, "people-count": people, **own, **fixed}
+                       for own in OWN]
+            assert_record_exact(engine, objects, shared_names)
 
 
 @settings(max_examples=100, deadline=None)
@@ -567,37 +582,11 @@ def test_score_record_errors_match_score_object(config, shared, objects):
             == [entry[1:] for entry in by_object.error_log.entries])
 
 
-def test_specialization_memo_keys_on_positive_degrees():
-    # Each x on label a's ramp gives a new degree of a, but the same
-    # pattern of positive degrees (a and b), so the records share a program.
-    engine = FuzzyEngine(tiny_config())
-    for i in range(1, 200):
-        x = 2.0 * i / 200
-        (score,) = engine.score_record({"x": x}, [{}], ["cam/1"])
-        assert score.value == tree_walk(engine, {"x": x})
-    assert len(engine._programs) == 1
-
-
-def test_specialization_memo_never_grows_past_its_cap(monkeypatch):
-    cap = 3
-    monkeypatch.setattr(engine_module, "CENTROID_MEMO_CAP", cap)
-    engine = FuzzyEngine(tiny_config())
-    # One x per pattern of positive degrees: a; a, b; b; b, c; c.
-    xs = (0.0, 1.0, 5.0, 9.0, 10.0)
-    sizes = set()
-    for x in xs * 3:
-        (score,) = engine.score_record({"x": x}, [{}], ["cam/1"])
-        sizes.add(len(engine._programs))
-        assert score.value == tree_walk(engine, {"x": x})
-    assert max(sizes) == cap
-
-
 # -- the per-object memos: degrees per own input, scores per object ---------
 
 def memo_sizes(engine):
     """Entries in each of the engine's memos."""
     return {"centroids": len(engine._centroids), "scores": len(engine._scores),
-            "programs": len(engine._programs),
             **{name: len(memo) for name, memo in engine._degree_memos.items()}}
 
 
