@@ -6,8 +6,9 @@ sends every record already queued with one write, so a busy link costs
 few syscalls and thread switches per record. While the
 link is down records accumulate in a deque spanning at most the configured
 buffer seconds; older records are dropped oldest-first and counted.
-Sequence numbers keep increasing across reconnects so the receiver's
-per-camera gap tracking reports exactly what was lost.
+Each camera's records are numbered separately, as the receiver checks
+them, and the numbers keep increasing across reconnects, so its gap
+tracking reports exactly what was lost.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ class FeatureSender:
         self._handed = 0  # records written to a socket; only the writer thread counts
         self._queue: queue.Queue = queue.Queue(maxsize=config.window)
         self._buffer: deque = deque()  # [arrival_s, sequence, sent_at, payload]
-        self._seq = 0
+        self._seq: dict[str, int] = {}  # last sequence number per camera
+        self._accepted = 0  # records given to send_record
         self._sock: socket.socket | None = None
         self._session: Session | None = None
         self._lock = threading.Lock()
@@ -187,12 +189,12 @@ class FeatureSender:
     def send_record(self, record: FeatureRecord, camera_id: str) -> int:
         """Queue one record; blocks while the in-flight window is full.
 
-        Returns the sequence number assigned to the record.
+        Returns the sequence number assigned to the record, counted per camera.
         """
         payload = encode_record(record, camera_id)
         with self._lock:
-            self._seq += 1
-            seq = self._seq
+            seq = self._seq[camera_id] = self._seq.get(camera_id, 0) + 1
+            self._accepted += 1
         self._queue.put([time.monotonic(), seq, now_us(), payload])
         return seq
 
@@ -282,7 +284,7 @@ class FeatureSender:
 
     def _unsent(self) -> int:
         """Records given to send_record but neither written nor dropped."""
-        return self._seq - self._handed - self.dropped
+        return self._accepted - self._handed - self.dropped
 
     def close(self) -> None:
         """Flush (only while linked: nothing reconnects a down link), then close."""
@@ -309,8 +311,9 @@ class FogReceiver:
     Per camera, sequence numbers must keep increasing: regressions and
     duplicates are rejected, gaps are recorded. Frames failing header or
     AEAD checks are dropped and counted, never delivered. In handshake mode
-    the RSA private key is parsed here, once, so a malformed key fails at
-    construction rather than on the first connection.
+    the X25519 private key is parsed here, once, so a malformed key or a
+    key of another type fails at construction rather than on the first
+    connection.
     """
 
     def __init__(self, config: TransportConfig, on_message=None,

@@ -3,28 +3,36 @@
 Plaintext frames pass through untouched. The symmetric mode seals every
 frame body with AES-256-GCM under a pre-shared key, authenticating the
 clear header as associated data. The handshake mode wraps a fresh session
-key with RSA-OAEP against the receiver's pre-shared public key, completes
-in exactly one round trip (init -> sealed ack), then behaves like the
-symmetric mode under the fresh key.
+key for the receiver's pre-shared X25519 public key with RFC 9180 HPKE in
+base mode (DHKEM(X25519, HKDF-SHA256), HKDF-SHA256, AES-256-GCM, bound to
+``HPKE_INFO``), completes in exactly one round trip (init -> sealed ack),
+then behaves like the symmetric mode under the fresh key. Only the holder
+of the private key can open the init and seal the ack, so the sender knows
+its receiver; the receiver does not know its sender.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import x25519
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hpke import AEAD, KDF, KEM, Suite
 
 from .wire import (MODE_HANDSHAKE, MODE_NAMES, MODE_PLAINTEXT, MODE_SYMMETRIC,
                    FrameRejected)
 
 NONCE_BYTES = 12
 KEY_BYTES = 32
+
+HPKE_SUITE = Suite(KEM.X25519, KDF.HKDF_SHA256, AEAD.AES_256_GCM)
+HPKE_INFO = b"loiterwatch handshake-then-symmetric v1"
+INIT_BYTES = 32 + KEY_BYTES + 16  # encapsulated X25519 key, sealed session key, GCM tag
 
 
 @dataclass
@@ -54,8 +62,8 @@ def load_transport_config(path: str | Path) -> TransportConfig:
 
 
 def generate_keypair() -> tuple[str, str]:
-    """(private_pem, public_pem) for the handshake mode."""
-    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    """(private_pem, public_pem) X25519 keys for the handshake mode."""
+    key = x25519.X25519PrivateKey.generate()
     private_pem = key.private_bytes(
         serialization.Encoding.PEM,
         serialization.PrivateFormat.PKCS8,
@@ -118,51 +126,45 @@ def psk_from_config(config: TransportConfig) -> bytes:
 
 
 def wrap_session_key(config: TransportConfig) -> tuple[bytes, HandshakeSession]:
-    """Sender side: fresh session key plus its RSA-OAEP wrapping."""
+    """Sender side: fresh session key plus its HPKE wrapping (the init body)."""
     if not config.server_public_key_pem:
         raise ValueError("handshake mode requires server_public_key_pem")
     public_key = serialization.load_pem_public_key(
         config.server_public_key_pem.encode("ascii"))
+    if not isinstance(public_key, x25519.X25519PublicKey):
+        raise ValueError("server_public_key_pem is not an X25519 public key")
     session_key = AESGCM.generate_key(bit_length=KEY_BYTES * 8)
-    wrapped = public_key.encrypt(
-        session_key,
-        padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
-                     algorithm=hashes.SHA256(), label=None),
-    )
+    wrapped = HPKE_SUITE.encrypt(session_key, public_key, info=HPKE_INFO)
     return wrapped, HandshakeSession(session_key)
 
 
-def load_private_key(config: TransportConfig) -> rsa.RSAPrivateKey:
-    """Parse the receiver's RSA private key; a malformed key raises ValueError."""
+def load_private_key(config: TransportConfig) -> x25519.X25519PrivateKey:
+    """Parse the receiver's X25519 private key; any other key raises ValueError."""
     if not config.server_private_key_pem:
         raise ValueError("handshake mode requires server_private_key_pem")
     key = serialization.load_pem_private_key(
         config.server_private_key_pem.encode("ascii"), password=None)
-    if not isinstance(key, rsa.RSAPrivateKey):
-        raise ValueError("server_private_key_pem is not an RSA private key")
+    if not isinstance(key, x25519.X25519PrivateKey):
+        raise ValueError("server_private_key_pem is not an X25519 private key")
     return key
 
 
 def unwrap_session_key(config: TransportConfig, wrapped: bytes,
-                       private_key: rsa.RSAPrivateKey | None = None) -> HandshakeSession:
+                       private_key: x25519.X25519PrivateKey | None = None) -> HandshakeSession:
     """Receiver side: recover the session key from the init frame.
 
-    Parsing the private key costs far more than the unwrap itself, so a
-    receiver passes the key it parsed once; without one it is parsed from
-    the config.
+    A receiver passes the key it parsed once, when it was built; without
+    one it is parsed from the config.
     """
     if private_key is None:
         private_key = load_private_key(config)
+    # Anyone may seal to the public key; the fixed length pins the key size.
+    if len(wrapped) != INIT_BYTES:
+        raise FrameRejected(f"handshake init is {len(wrapped)} bytes, not {INIT_BYTES}")
     try:
-        session_key = private_key.decrypt(
-            wrapped,
-            padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
-                         algorithm=hashes.SHA256(), label=None),
-        )
-    except ValueError as exc:
+        session_key = HPKE_SUITE.decrypt(wrapped, private_key, info=HPKE_INFO)
+    except (InvalidTag, ValueError) as exc:
         raise FrameRejected("session key unwrap failed") from exc
-    if len(session_key) != KEY_BYTES:
-        raise FrameRejected("unwrapped session key has wrong size")
     return HandshakeSession(session_key)
 
 

@@ -7,7 +7,7 @@ Frame layout, all integers big-endian:
     u8  mode              0 plaintext, 1 symmetric, 2 handshake-then-symmetric
     u8  kind              0 data, 1 handshake-init, 2 handshake-ack
     u8  reserved          always 0
-    u32 sequence          strictly increasing per sender
+    u32 sequence          strictly increasing per camera of a sender
     u64 sent_at           microseconds since the epoch
     ... body              payload, or nonce+ciphertext in encrypted modes
 

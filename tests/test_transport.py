@@ -7,6 +7,8 @@ import time
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import rsa
 from hypothesis import given, settings, strategies as st
 
 from loiterwatch.tracking import FeatureRecord, ObjectFeatures
@@ -26,12 +28,17 @@ from loiterwatch.transport import (
 )
 from loiterwatch.transport import session as session_module
 from loiterwatch.transport.session import (
+    HPKE_INFO,
+    HPKE_SUITE,
+    INIT_BYTES,
     psk_from_config,
     unwrap_session_key,
     wrap_session_key,
 )
 from loiterwatch.transport.wire import (
     KIND_DATA,
+    KIND_HANDSHAKE_INIT,
+    MODE_HANDSHAKE,
     MODE_SYMMETRIC,
     build_frame,
     pack_header,
@@ -55,6 +62,13 @@ def simple_record(frame=3, ts=12.34, objects=((1, 4.5, 0, 2),)):
     return FeatureRecord(
         frame_index=frame, timestamp=ts, people_count=len(objects),
         objects=tuple(ObjectFeatures(*o) for o in objects))
+
+
+def wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
 
 
 # ------------------------------------------------------------- payload
@@ -168,6 +182,7 @@ def test_symmetric_rejects_wrong_key_and_tamper():
 def test_session_key_wrap_unwrap():
     cfg = config_for("handshake-then-symmetric")
     wrapped, client = wrap_session_key(cfg)
+    assert len(wrapped) == INIT_BYTES == 80
     server = unwrap_session_key(cfg, wrapped)
     header = pack_header(2, KIND_DATA, 1, now_us())
     assert server.open(header, client.seal(header, b"hello")) == b"hello"
@@ -213,6 +228,100 @@ def test_bad_private_key_fails_when_receiver_is_built(pem):
     cfg = replace(config_for("handshake-then-symmetric"), server_private_key_pem=pem)
     with pytest.raises(ValueError):
         FogReceiver(cfg)
+
+
+def flip_bit(body: bytes, index: int) -> bytes:
+    return body[:index] + bytes([body[index] ^ 0x01]) + body[index + 1:]
+
+
+def sealed_key(size: int) -> bytes:
+    """A well-formed init whose session key is ``size`` bytes long."""
+    public_key = serialization.load_pem_public_key(PUBLIC_PEM.encode("ascii"))
+    return HPKE_SUITE.encrypt(bytes(size), public_key, info=HPKE_INFO)
+
+
+# A real init is the 32-byte encapsulated key, the sealed session key and
+# its 16-byte tag. Anyone may seal to the public key, so a sealed key of the
+# wrong size must be rejected as well.
+BAD_INITS = {
+    "encapsulated-key-bit": lambda init: flip_bit(init, 7),
+    "ciphertext-bit": lambda init: flip_bit(init, 40),
+    "last-tag-byte": lambda init: flip_bit(init, len(init) - 1),
+    "all-zero-encapsulated-key": lambda init: bytes(32) + init[32:],
+    "0-bytes": lambda init: b"",
+    "31-bytes": lambda init: init[:31],
+    "32-bytes": lambda init: init[:32],
+    "79-bytes": lambda init: init[:79],
+    "81-bytes": lambda init: init + b"\x00",
+    "sealed-16-byte-key": lambda init: sealed_key(16),
+    "sealed-33-byte-key": lambda init: sealed_key(33),
+}
+
+
+def test_each_bad_handshake_init_is_one_reject_and_receiver_serves_on():
+    cfg = config_for("handshake-then-symmetric")
+    receiver = FogReceiver(cfg)
+    receiver.start()
+    try:
+        for n, (name, corrupt) in enumerate(BAD_INITS.items(), start=1):
+            wrapped, _ = wrap_session_key(cfg)
+            body = corrupt(wrapped)
+            assert body != wrapped, name
+            with socket.create_connection(("127.0.0.1", receiver.port), timeout=5.0) as sock:
+                header = pack_header(MODE_HANDSHAKE, KIND_HANDSHAKE_INIT, 0, now_us())
+                sock.sendall(build_frame(header, body))
+                assert sock.recv(64) == b"", f"{name}: a bad init must get no ack, only EOF"
+            assert receiver.rejected == n, name
+            assert "handshake failed" in receiver.error_log.entries[-1][2], name
+
+            # A new sender per case, on its own camera: a second sender for
+            # the same camera would start its numbering over.
+            sender = FeatureSender(replace(cfg, port=receiver.port))
+            sender.connect()
+            try:
+                sender.send_record(simple_record(), f"cam-{name}")
+                assert sender.flush(timeout=5.0) == 0, name
+            finally:
+                sender.close()
+            assert wait_for(lambda: receiver.message_count == n), name
+            assert receiver.messages[-1].camera_id == f"cam-{name}"
+        assert receiver.rejected == len(BAD_INITS)
+    finally:
+        receiver.stop()
+
+
+def test_rsa_keys_are_refused_on_both_sides(monkeypatch):
+    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    rsa_private = key.private_bytes(
+        serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption()).decode("ascii")
+    rsa_public = key.public_key().public_bytes(
+        serialization.Encoding.PEM,
+        serialization.PublicFormat.SubjectPublicKeyInfo).decode("ascii")
+    cfg = config_for("handshake-then-symmetric")
+    with pytest.raises(ValueError, match="not an X25519 private key"):
+        FogReceiver(replace(cfg, server_private_key_pem=rsa_private))
+
+    opened = []
+    create_connection = socket.create_connection
+
+    def recording(*args, **kwargs):
+        opened.append(create_connection(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", recording)
+    receiver = FogReceiver(cfg)
+    receiver.start()
+    try:
+        sender = FeatureSender(replace(cfg, port=receiver.port,
+                                       server_public_key_pem=rsa_public))
+        with pytest.raises(ValueError, match="not an X25519 public key"):
+            sender.connect()
+        assert len(opened) == 1 and opened[0].fileno() == -1
+        assert sender._sock is None and sender._writer is None
+    finally:
+        receiver.stop()
+    assert receiver.rejected == 0
 
 
 def test_psk_validation():
@@ -305,6 +414,31 @@ def test_sequence_gaps_and_duplicates_are_tracked():
         assert receiver.gaps == [("cam-9", 2, 3), ("cam-9", 4, 7)]
         assert receiver.duplicates == 2  # replayed 3 and regressed 2
     finally:
+        receiver.stop()
+
+
+def test_one_sender_numbers_each_camera_separately():
+    cfg = config_for("plaintext")
+    receiver = FogReceiver(cfg)
+    receiver.start()
+    sender = FeatureSender(replace(cfg, port=receiver.port))
+    sender.connect()
+    try:
+        cameras = ["cam-a", "cam-b"] * 5
+        seqs = [sender.send_record(simple_record(frame=i), camera)
+                for i, camera in enumerate(cameras)]
+        assert seqs == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        assert sender.flush() == 0
+        assert wait_for(lambda: receiver.message_count == 10)
+        assert [(m.camera_id, m.sequence) for m in receiver.messages] == list(zip(cameras, seqs))
+        assert receiver.gaps == [] and receiver.duplicates == 0
+
+        receiver.stop()
+        for i, camera in enumerate(["cam-a", "cam-b", "cam-b"]):
+            sender.send_record(simple_record(frame=10 + i), camera)
+        assert sender.flush(timeout=0.2) == 3  # counted over both cameras
+    finally:
+        sender.close()
         receiver.stop()
 
 
