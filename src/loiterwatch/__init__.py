@@ -10,7 +10,9 @@ the pipeline (in-process or over TCP) and evaluates alarm quality.
 The package, ``loiterwatch.fuzzy`` and ``loiterwatch.harness`` load their
 exports on first access (PEP 562), so each side imports only its own
 layers: the edge's tracker and transport load no numpy, and the in-process
-fog loads neither numpy nor the transport and cryptography.
+fog loads neither numpy nor the transport and cryptography. The top level
+exports only what a fog node is built from; every other name is imported
+from its own module.
 """
 
 import sys
@@ -41,17 +43,7 @@ def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
 
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    "context": ("AlarmPolicy", "CameraContext", "ContextualizedFeatures",
-                "FogPipeline", "SuspicionReport", "alarm_threshold",
-                "contextualize", "decide", "hour_of_day", "load_cameras",
-                "load_policy"),
-    "fuzzy": ("EngineConfig", "FuzzyEngine", "SuspicionScore", "default_config",
-              "load_config", "validate_config"),
-    "logs": ("DecisionLog", "ErrorLog"),
-    "tracking": ("Detection", "FeatureRecord", "ObjectFeatures", "TrackerParams",
-                 "TrackFeatureExtractor", "TrackState", "build_feature_record",
-                 "iou", "reconcile_detections", "update_kinematics"),
-    "transport": ("FeatureSender", "FogReceiver", "TransportConfig", "WireMessage",
-                  "decode_record", "encode_record", "generate_keypair",
-                  "measure_latency"),
+    "context": ("CameraContext", "FogPipeline"),
+    "fuzzy": ("FuzzyEngine",),
+    "tracking": ("FeatureRecord", "ObjectFeatures"),
 })

@@ -19,7 +19,8 @@ from .logs import DecisionLog
 
 # The engine and the transport (cryptography) are imported inside the
 # commands that run them, so ``--help`` and the light commands load
-# neither.
+# neither. For the same reason MODES is a copy of transport.wire.MODE_NAMES,
+# in its order; a test keeps the two equal.
 
 MODES = ("plaintext", "symmetric", "handshake-then-symmetric")
 
@@ -183,65 +184,6 @@ def validate_config_cmd(config_path):
     for violation in report.violations:
         click.echo(str(violation), err=True)
     sys.exit(1)
-
-
-@main.command("bench-decision")
-@click.option("--records", default=10_000, show_default=True)
-@click.option("--objects", default=2, show_default=True)
-@click.option("--seed", default=9, show_default=True)
-@click.option("--fuzzy-config", type=click.Path(exists=True, dir_okay=False), default=None)
-def bench_decision_cmd(records, objects, seed, fuzzy_config):
-    """Time the per-object score+decide path."""
-    from .harness.bench import bench_decision
-
-    try:
-        result = bench_decision(records=records, objects_per_record=objects,
-                                seed=seed,
-                                engine_config=_load_engine_config(fuzzy_config))
-    except Exception as exc:
-        _fail("bench-decision", exc)
-    click.echo(f"decisions={result.decisions} mean={result.mean_ms:.3f}ms "
-               f"p95={result.p95_ms:.3f}ms max={result.max_ms:.3f}ms "
-               f"wall={result.wall_s:.2f}s rss={result.max_rss_kb}kB "
-               f"alarms={result.alarms}")
-
-
-@main.command("bench-transport")
-@click.option("--records", default=1000, show_default=True)
-@click.option("--mode", "modes", type=click.Choice(MODES + ("all",)),
-              default="all", show_default=True)
-@click.option("--objects-low", default=0, show_default=True)
-@click.option("--objects-high", default=2, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
-              help="Write per-message latency CSVs here.")
-def bench_transport_cmd(records, modes, objects_low, objects_high, out_dir):
-    """Loopback latency benchmark across confidentiality modes."""
-    from .harness.bench import bench_transport
-    from .transport import TransportConfig, generate_keypair
-
-    run_modes = MODES if modes == "all" else (modes,)
-    try:
-        private_pem, public_pem = generate_keypair()
-        for mode in run_modes:
-            config = TransportConfig(mode=mode, psk_hex="11" * 32,
-                                     server_private_key_pem=private_pem,
-                                     server_public_key_pem=public_pem)
-            stats, intact = bench_transport(config, records=records,
-                                            objects_low=objects_low,
-                                            objects_high=objects_high)
-            click.echo(f"{mode}: n={len(stats.samples)} mean={stats.mean_us:.1f}us "
-                       f"p95={stats.p95_us:.1f}us max={stats.max_us}us "
-                       f"payloads-intact={intact}")
-            if not intact:
-                _fail("bench-transport", RuntimeError(f"{mode}: decoded records differ"))
-            if out_dir:
-                out = Path(out_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                stats.write_csv(out / f"latency-{mode}.csv")
-    except SystemExit:
-        raise
-    except Exception as exc:
-        _fail("bench-transport", exc)
 
 
 @main.command()

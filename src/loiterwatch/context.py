@@ -9,7 +9,7 @@ threshold. Context never rescales scores; it only moves the threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -65,49 +65,11 @@ class AlarmPolicy:
         return min(max(value, self.min_threshold), self.max_threshold)
 
 
-def alarm_threshold(ctx: CameraContext, hour: float,
-                    policy: AlarmPolicy | None = None) -> float:
-    return (policy or AlarmPolicy()).threshold_for(ctx, hour)
-
-
 def hour_of_day(timestamp: float, ctx: CameraContext) -> float:
     """Local hour in [0, 24) from a stream timestamp in seconds."""
     hour = (timestamp / 3600.0 + ctx.timezone_offset) % 24.0
     # Float modulo can round a tiny negative operand up to exactly 24.0.
     return 0.0 if hour >= 24.0 else hour
-
-
-@dataclass(frozen=True)
-class ContextualizedFeatures:
-    camera_id: str
-    track_id: int
-    frame_index: int
-    timestamp: float
-    hour: float
-    dwell_time: float
-    speed_change_count: int
-    direction_change_count: int
-    people_count: int
-
-    def engine_inputs(self) -> dict[str, float]:
-        return {**_record_inputs(self.hour, self.people_count),
-                **_object_inputs(self.dwell_time, self.speed_change_count,
-                                 self.direction_change_count)}
-
-
-def _record_inputs(hour: float, people_count: int) -> dict[str, float]:
-    """The fuzzy engine's inputs that every object of a record shares."""
-    return {"hour": hour, "people-count": float(people_count)}
-
-
-def _object_inputs(dwell_time: float, speed_change_count: int,
-                   direction_change_count: int) -> dict[str, float]:
-    """The fuzzy engine's inputs that are each object's own."""
-    return {
-        "dwell-time": dwell_time,
-        "speed-changes": float(speed_change_count),
-        "direction-changes": float(direction_change_count),
-    }
 
 
 def _alarm(score: SuspicionScore, threshold: float) -> bool:
@@ -133,42 +95,6 @@ class SuspicionReport:
     alarm: bool
 
 
-def contextualize(record: FeatureRecord, ctx: CameraContext) -> list[ContextualizedFeatures]:
-    """One entry per tracked object, annotated with local hour and camera."""
-    hour = hour_of_day(record.timestamp, ctx)
-    return [
-        ContextualizedFeatures(
-            camera_id=ctx.camera_id,
-            track_id=obj.track_id,
-            frame_index=record.frame_index,
-            timestamp=record.timestamp,
-            hour=hour,
-            dwell_time=obj.dwell_time,
-            speed_change_count=obj.speed_change_count,
-            direction_change_count=obj.direction_change_count,
-            people_count=record.people_count,
-        )
-        for obj in record.objects
-    ]
-
-
-def decide(features: ContextualizedFeatures, engine: FuzzyEngine,
-           policy: AlarmPolicy, ctx: CameraContext) -> SuspicionReport:
-    """Score one object and apply the context-shifted threshold."""
-    threshold = policy.threshold_for(ctx, features.hour)
-    score = engine.score_object(features.engine_inputs(),
-                                object_id=f"{features.camera_id}/{features.track_id}")
-    return SuspicionReport(
-        camera_id=features.camera_id,
-        track_id=features.track_id,
-        frame_index=features.frame_index,
-        timestamp=features.timestamp,
-        score=score,
-        threshold=threshold,
-        alarm=_alarm(score, threshold),
-    )
-
-
 class FogPipeline:
     """Contextualize-score-decide loop over incoming feature records."""
 
@@ -186,7 +112,8 @@ class FogPipeline:
         self.cameras[ctx.camera_id] = ctx
 
     def process_record(self, camera_id: str, record: FeatureRecord) -> list[SuspicionReport]:
-        """Decide every object of one record, as ``decide`` would.
+        """Score every object of one record and apply the context-shifted
+        threshold.
 
         Camera, local hour and threshold are per record, so they are looked
         up once, and the record's objects are scored together with hour
@@ -202,9 +129,11 @@ class FogPipeline:
         hour = hour_of_day(timestamp, ctx)
         threshold = self.policy.threshold_for(ctx, hour)
         scores = self.engine.score_record(
-            _record_inputs(hour, record.people_count),
-            [_object_inputs(obj.dwell_time, obj.speed_change_count,
-                            obj.direction_change_count) for obj in objects],
+            {"hour": hour, "people-count": float(record.people_count)},
+            [{"dwell-time": obj.dwell_time,
+              "speed-changes": float(obj.speed_change_count),
+              "direction-changes": float(obj.direction_change_count)}
+             for obj in objects],
             [f"{camera_id}/{obj.track_id}" for obj in objects])
         log, reports = self.decision_log.append, []
         for obj, score in zip(objects, scores):

@@ -1,4 +1,4 @@
-"""Scenario generation, replay, evaluation and benchmarks.
+"""Scenario generation, replay, evaluation and the suite run.
 
 Exports load on first access; see the ``loiterwatch`` package docstring.
 """
@@ -6,15 +6,11 @@ Exports load on first access; see the ``loiterwatch`` package docstring.
 from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    "bench": ("DecisionBenchResult", "bench_decision", "bench_transport",
-              "synthetic_records"),
-    "dataset": ("DatasetError", "STREAM_HEADER", "group_frames",
-                "load_track_dataset"),
-    "evaluation": ("EvaluationResult", "MATCH_WINDOW", "emit_report", "evaluate",
-                   "evaluate_scenario"),
-    "replay": ("ReplayResult", "ReplayStats", "replay_scenario"),
+    "dataset": ("DatasetError", "group_frames", "load_track_dataset"),
+    "evaluation": ("EvaluationResult", "emit_report", "evaluate", "evaluate_scenario"),
+    "replay": ("replay_scenario",),
     "scenarios": ("DEFAULT_SUITE", "KINDS", "LOITERING", "NORMAL",
                   "LabelInterval", "Scenario", "generate_scenario",
                   "generate_suite"),
-    "suite": ("SuiteResult", "run_suite"),
+    "suite": ("run_suite",),
 })

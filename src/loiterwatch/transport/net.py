@@ -23,7 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from ..logs import ErrorLog, write_csv
+from ..logs import ErrorLog
 from ..tracking import FeatureRecord
 from .session import (Session, TransportConfig, load_private_key,
                       make_sender_session, unwrap_session_key, wrap_session_key)
@@ -35,7 +35,6 @@ from .wire import (KIND_DATA, KIND_HANDSHAKE_ACK, KIND_HANDSHAKE_INIT,
 log = logging.getLogger(__name__)
 
 ACK_PAYLOAD = b"ok"
-LATENCY_HEADER = ["sequence", "mode", "bytes", "latency_us"]
 
 _STOP = object()
 
@@ -100,29 +99,11 @@ class LatencyStats:
     def add(self, sequence: int, mode: str, nbytes: int, latency_us: int) -> None:
         self.samples.append((sequence, mode, nbytes, latency_us))
 
-    def latencies(self) -> list[int]:
-        return [s[3] for s in self.samples]
-
     @property
     def mean_us(self) -> float:
-        xs = self.latencies()
-        return sum(xs) / len(xs) if xs else 0.0
-
-    @property
-    def p95_us(self) -> float:
-        xs = sorted(self.latencies())
-        if not xs:
+        if not self.samples:
             return 0.0
-        return float(xs[min(len(xs) - 1, int(0.95 * (len(xs) - 1) + 0.5))])
-
-    @property
-    def max_us(self) -> int:
-        xs = self.latencies()
-        return max(xs) if xs else 0
-
-    def write_csv(self, path) -> None:
-        write_csv(path, LATENCY_HEADER,
-                  [[str(seq), mode, str(nb), str(lat)] for seq, mode, nb, lat in self.samples])
+        return sum(s[3] for s in self.samples) / len(self.samples)
 
 
 class FeatureSender:
@@ -345,8 +326,8 @@ class FogReceiver:
         self._listener = listener
         self.port = listener.getsockname()[1]
         accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._threads.append(accept_thread)  # before the loop can prune the list
         accept_thread.start()
-        self._threads.append(accept_thread)
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -360,10 +341,17 @@ class FogReceiver:
             conn.settimeout(0.5)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
+                # stop() sets the flag before it takes its snapshot under
+                # this lock, so a connection accepted too late is closed
+                # here rather than left out of that snapshot.
+                if self._stop.is_set():
+                    conn.close()
+                    return
+                self._threads = [t for t in self._threads if t.is_alive()]
                 self._conns.append(conn)
-            thread = threading.Thread(target=self.receive_loop, args=(conn,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
+                thread = threading.Thread(target=self.receive_loop, args=(conn,), daemon=True)
+                thread.start()
+                self._threads.append(thread)
 
     def receive_loop(self, conn: socket.socket) -> None:
         """Drain one connection: establish its session, then deliver frames."""
@@ -383,6 +371,8 @@ class FogReceiver:
         except OSError:
             return
         finally:
+            with self._lock:
+                self._conns.remove(conn)
             try:
                 conn.close()
             except OSError:
@@ -462,13 +452,13 @@ class FogReceiver:
             except OSError:
                 pass
         with self._lock:
-            conns = list(self._conns)
+            conns, threads = list(self._conns), list(self._threads)
         for conn in conns:
             try:
                 conn.close()
             except OSError:
                 pass
-        for thread in self._threads:
+        for thread in threads:
             thread.join(timeout=2.0)
 
 

@@ -160,25 +160,6 @@ def test_validate_config_rejects_malformed_json(runner, tmp_path):
     assert result.stderr.startswith("validate-config: ")
 
 
-def test_bench_decision_reports_timing(runner):
-    result = runner.invoke(main, ["bench-decision", "--records", "200"])
-    assert result.exit_code == 0
-    assert result.output.startswith("decisions=400 mean=")
-    assert "p95=" in result.output and "alarms=" in result.output
-
-
-def test_bench_transport_single_mode(runner, tmp_path):
-    result = runner.invoke(main, ["bench-transport", "--records", "30",
-                                  "--mode", "plaintext",
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 0
-    assert result.output.startswith("plaintext: n=30 mean=")
-    assert "payloads-intact=True" in result.output
-    csv = (tmp_path / "latency-plaintext.csv").read_text().splitlines()
-    assert csv[0] == "sequence,mode,bytes,latency_us"
-    assert len(csv) == 31
-
-
 def test_suite_command_runs_everything(runner, tmp_path):
     result = runner.invoke(main, ["suite", "--out", str(tmp_path / "s")])
     assert result.exit_code == 0
@@ -218,3 +199,12 @@ def test_replay_mode_from_flag_then_transport_config(runner, workspace, tmp_path
     assert modes == [expected]
     direct = (workspace / "runs" / "l1.decisions.csv").read_bytes()
     assert (tmp_path / "l1.decisions.csv").read_bytes() == direct
+
+
+def test_cli_modes_match_the_wire_modes():
+    """``cli.MODES`` copies the wire's mode names so that ``--help`` loads
+    no cryptography; the copy must list the same modes in the same order."""
+    from loiterwatch.cli import MODES
+    from loiterwatch.transport.wire import MODE_NAMES
+
+    assert MODES == tuple(MODE_NAMES)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,9 +11,6 @@ from loiterwatch.context import (
     AlarmPolicy,
     CameraContext,
     FogPipeline,
-    alarm_threshold,
-    contextualize,
-    decide,
     hour_of_day,
     load_cameras,
     load_policy,
@@ -49,17 +47,17 @@ class TestHourOfDay:
 
 class TestThreshold:
     def test_tier_one_indoor_daytime(self):
-        assert alarm_threshold(cam(), 12.0) == 60.0
+        assert AlarmPolicy().threshold_for(cam(), 12.0) == 60.0
 
     def test_tier_steps_lower_threshold(self):
-        assert alarm_threshold(cam(security_level=2), 12.0) == 50.0
-        assert alarm_threshold(cam(security_level=3), 12.0) == 40.0
+        assert AlarmPolicy().threshold_for(cam(security_level=2), 12.0) == 50.0
+        assert AlarmPolicy().threshold_for(cam(security_level=3), 12.0) == 40.0
 
     def test_outdoor_after_hours_bonus(self):
         outdoor = cam(placement="outdoor", security_level=3)
-        assert alarm_threshold(outdoor, 23.0) == 35.0
-        assert alarm_threshold(outdoor, 3.0) == 35.0
-        assert alarm_threshold(outdoor, 12.0) == 40.0
+        assert AlarmPolicy().threshold_for(outdoor, 23.0) == 35.0
+        assert AlarmPolicy().threshold_for(outdoor, 3.0) == 35.0
+        assert AlarmPolicy().threshold_for(outdoor, 12.0) == 40.0
 
     def test_after_hours_boundaries(self):
         policy = AlarmPolicy()
@@ -96,7 +94,7 @@ class TestThreshold:
             assert not policy.is_after_hours(hour)
 
     def test_indoor_after_hours_gets_no_bonus(self):
-        assert alarm_threshold(cam(security_level=3), 23.0) == 40.0
+        assert AlarmPolicy().threshold_for(cam(security_level=3), 23.0) == 40.0
 
     def test_clamped_to_floor(self):
         policy = AlarmPolicy(base_threshold=40.0)
@@ -139,34 +137,54 @@ def record_with(dwell, speed=0, direction=0, people=1, ts=3600.0 * 3):
                          objects=objects)
 
 
+class SpyScore(FixedScore):
+    """A fixed-score engine that keeps the inputs it was given."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.calls = []
+
+    def score_record(self, shared, objects, object_ids):
+        self.calls.append((shared, objects, object_ids))
+        return super().score_record(shared, objects, object_ids)
+
+
 def test_contextualize_maps_engine_inputs():
-    record = record_with(dwell=12.5, speed=2, direction=3, people=2)
-    features = contextualize(record, cam())
-    assert len(features) == 2
-    inputs = features[0].engine_inputs()
+    engine = SpyScore(0.0)
+    pipeline = FogPipeline(engine, cameras={"cam-1": cam()})
+    pipeline.process_record("cam-1", record_with(dwell=12.5, speed=2, direction=3, people=2))
+    [(shared, objects, object_ids)] = engine.calls
+    assert object_ids == ["cam-1/1", "cam-1/2"]
+    assert len(objects) == 2
+    inputs = {**shared, **objects[0]}
     assert inputs == {"hour": 3.0, "dwell-time": 12.5, "speed-changes": 2.0,
                       "direction-changes": 3.0, "people-count": 2.0}
+    assert all(type(value) is float for value in inputs.values())
+
+
+def decide_one(engine, policy, context, record):
+    """The report for a 1-object record through a fresh pipeline."""
+    [report] = FogPipeline(engine, cameras={context.camera_id: context},
+                           policy=policy).process_record(context.camera_id, record)
+    return report
 
 
 class TestDecide:
     def test_alarm_iff_ok_and_at_threshold(self, engine):
         policy = AlarmPolicy()
         context = cam()
-        night = contextualize(record_with(dwell=25.0), context)[0]
-        report = decide(night, engine, policy, context)
+        report = decide_one(engine, policy, context, record_with(dwell=25.0))
         assert report.score.ok and report.score.value >= report.threshold
         assert report.alarm
 
-        calm = contextualize(record_with(dwell=0.0, ts=3600.0 * 11), context)[0]
-        report = decide(calm, engine, policy, context)
+        calm = record_with(dwell=0.0, ts=3600.0 * 11)
+        report = decide_one(engine, policy, context, calm)
         assert report.score.ok and report.score.value < report.threshold
         assert not report.alarm
 
     def test_input_error_never_alarms(self, engine):
         policy = AlarmPolicy(base_threshold=0.0, min_threshold=0.0)
-        context = cam()
-        broken = contextualize(record_with(dwell=math.nan), context)[0]
-        report = decide(broken, engine, policy, context)
+        report = decide_one(engine, policy, cam(), record_with(dwell=math.nan))
         assert report.score.status == "input-error"
         assert report.score.value == 0.0
         assert not report.alarm  # 0 >= 0, yet status blocks the alarm
@@ -210,15 +228,17 @@ class TestFogPipeline:
         assert len(pipeline.error_log.entries) == 1
         assert pipeline.decision_log.rows == []
 
-    def test_record_decisions_equal_decide(self, pipeline):
+    def test_record_decisions_equal_single_object_records(self, pipeline):
         objects = (ObjectFeatures(1, 25.0, 2, 4), ObjectFeatures(2, math.nan, 0, 0),
                    ObjectFeatures(3, 7.5, 8, 1))
         record = FeatureRecord(frame_index=10, timestamp=3600.0 * 3, people_count=3,
                                objects=objects)
         reports = pipeline.process_record("cam-1", record)
-        alone = FuzzyEngine(default_config())
-        assert reports == [decide(f, alone, pipeline.policy, cam())
-                           for f in contextualize(record, cam())]
+        alone = FogPipeline(FuzzyEngine(default_config()), {"cam-1": cam()})
+        singles = [report for obj in objects
+                   for report in alone.process_record("cam-1", replace(record, objects=(obj,)))]
+        assert reports == singles
+        assert pipeline.decision_log.rows == alone.decision_log.rows
         assert ([entry[1:] for entry in pipeline.error_log.entries]
                 == [entry[1:] for entry in alone.error_log.entries])
         assert [entry[1] for entry in pipeline.error_log.entries] == ["cam-1/2"]

@@ -113,7 +113,7 @@ def test_cli_help_loads_neither_numpy_nor_cryptography():
     loaded = loaded_after("""
         from loiterwatch.cli import main
 
-        for command in ([], ["replay"], ["suite"], ["bench-transport"], ["validate-config"]):
+        for command in ([], ["replay"], ["suite"], ["evaluate"], ["validate-config"]):
             try:
                 main([*command, "--help"])
             except SystemExit as exc:

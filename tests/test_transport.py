@@ -574,6 +574,36 @@ def test_reconnect_resumes_in_order():
         second.stop()
 
 
+def test_receiver_forgets_finished_connections_and_stop_closes_live_ones():
+    receiver = FogReceiver(config_for("symmetric"))
+
+    def tracked():
+        with receiver._lock:  # the accept loop adds a socket and its thread together
+            return list(receiver._conns), list(receiver._threads)
+
+    receiver.start()
+    try:
+        for i in range(20):
+            sender = FeatureSender(replace(receiver.config, port=receiver.port))
+            sender.connect()
+            sender.send_record(simple_record(frame=i), f"cam-{i}")  # each a first record
+            sender.close()
+            assert wait_for(lambda: receiver.message_count == i + 1)
+        assert wait_for(lambda: sum(t.is_alive() for t in tracked()[1]) == 1)
+        assert tracked()[0] == []
+
+        with socket.create_connection(("127.0.0.1", receiver.port), timeout=2.0) as live:
+            assert wait_for(lambda: len(tracked()[0]) == 1)
+            [conn], threads = tracked()
+            assert len(threads) == 2  # the accept loop and the live connection
+            receiver.stop()
+            assert conn.fileno() == -1
+            assert not any(thread.is_alive() for thread in threads)
+            assert live.recv(1) == b""
+    finally:
+        receiver.stop()
+
+
 # ------------------------------------------------------------- latency
 
 def test_latency_stats_math():
@@ -581,24 +611,15 @@ def test_latency_stats_math():
     for i, us in enumerate([100, 200, 300, 400, 1000]):
         stats.add(i, "plaintext", 64, us)
     assert stats.mean_us == pytest.approx(400.0)
-    assert stats.max_us == 1000
-    assert stats.p95_us == 1000.0
-
-
-def test_latency_csv_output(tmp_path):
-    stats = LatencyStats()
-    stats.add(1, "plaintext", 64, 123)
-    out = tmp_path / "latency.csv"
-    stats.write_csv(out)
-    assert out.read_text() == ("sequence,mode,bytes,latency_us\n"
-                               "1,plaintext,64,123\n")
+    assert stats.samples[-1] == (4, "plaintext", 64, 1000)
+    assert LatencyStats().mean_us == 0.0
 
 
 def test_measure_latency_counts_every_record():
     sent = [simple_record(frame=i) for i in range(20)]
     stats, received = measure_latency(config_for("plaintext"), sent)
     assert len(received) == 20
-    assert all(latency >= 0 for latency in stats.latencies())
+    assert all(latency >= 0 for *_, latency in stats.samples)
 
 
 def test_measure_latency_keeps_window_in_flight(monkeypatch):
