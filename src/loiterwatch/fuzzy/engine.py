@@ -159,18 +159,22 @@ def _sample(member: MembershipFunction, grid: np.ndarray) -> np.ndarray:
     """``member.evaluate`` at every grid point in one numpy pass, bit for
     bit: the same extension rules, the exact degree at a breakpoint, and
     ``d0 + (d1 - d0) * (x - x0) / (x1 - x0)`` in that order, then clamped.
-    Each numpy operation rounds as the scalar one does."""
+    Each numpy operation rounds as the scalar one does. Only the points
+    between the end breakpoints are interpolated, where (x - x0) / (x1 - x0)
+    is at most 1: far outside, that ratio could overflow."""
     import numpy as np
 
     first_x, left, last_x, right, xs, ds, dds, dxs = _compile_member(member)
-    k = np.searchsorted(xs, grid, side="right") - 1  # last breakpoint <= x
-    at = np.clip(k, 0, len(xs) - 1)
-    seg = np.clip(k, 0, len(xs) - 2)
+    out = np.where(grid < first_x, left, right)
+    inside = (first_x <= grid) & (grid <= last_x)  # only these interpolate
+    x = grid[inside]
+    k = np.searchsorted(xs, x, side="right") - 1  # last breakpoint <= x
+    seg = np.minimum(k, len(xs) - 2)
     x0 = np.take(xs, seg)
-    d = np.take(ds, seg) + np.take(dds, seg) * (grid - x0) / np.take(dxs, seg)
+    d = np.take(ds, seg) + np.take(dds, seg) * (x - x0) / np.take(dxs, seg)
     d = np.where((0.0 <= d) & (d <= 1.0), d, np.where(d < 0.0, 0.0, 1.0))
-    d = np.where(np.take(xs, at) == grid, np.take(ds, at), d)
-    return np.where(grid < first_x, left, np.where(grid > last_x, right, d))
+    out[inside] = np.where(np.take(xs, k) == x, np.take(ds, k), d)
+    return out
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

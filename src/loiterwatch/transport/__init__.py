@@ -1,7 +1,7 @@
 """Edge-to-fog record transport: framing, sessions, TCP plumbing."""
 
 from .net import (FeatureSender, FogReceiver, LatencyStats, measure_latency,
-                  now_us, read_frame)
+                  now_us)
 from .session import (HandshakeSession, Session, SymmetricSession,
                       TransportConfig, generate_keypair, load_transport_config,
                       make_sender_session)
@@ -14,5 +14,5 @@ __all__ = [
     "Session", "SymmetricSession", "TransportConfig", "VERSION",
     "WireMessage", "decode_record", "encode_record",
     "generate_keypair", "load_transport_config", "make_sender_session",
-    "measure_latency", "now_us", "read_frame",
+    "measure_latency", "now_us",
 ]

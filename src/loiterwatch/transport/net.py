@@ -1,5 +1,8 @@
 """TCP sender and receiver for feature records.
 
+The receiver runs one thread, a selector loop over the listener and every
+connection, and hands records to on_message in the order they arrive.
+
 The sender runs a writer thread behind a bounded queue (the in-flight
 window): callers block on send_record once the window is full. The writer
 sends every record already queued with one write, so a busy link costs
@@ -13,9 +16,11 @@ tracking reports exactly what was lost.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import logging
 import queue
+import selectors
 import socket
 import struct
 import threading
@@ -43,24 +48,6 @@ def now_us() -> int:
     return time.time_ns() // 1000
 
 
-def read_exact(sock: socket.socket, n: int, stop: threading.Event | None = None) -> bytes | None:
-    """Read exactly n bytes; None on clean EOF. Retries on timeout until stop."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        try:
-            chunk = sock.recv(remaining)
-        except socket.timeout:
-            if stop is not None and stop.is_set():
-                return None
-            continue
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def peer_closed(sock: socket.socket) -> bool:
     """Whether the receiver has closed its end of a data link.
 
@@ -76,18 +63,32 @@ def peer_closed(sock: socket.socket) -> bool:
         return True
 
 
-def read_frame(sock: socket.socket, stop: threading.Event | None = None) -> tuple[bytes, bytes] | None:
-    """Next (header, body) pair off the socket; None on EOF."""
-    prefix = read_exact(sock, 4, stop)
-    if prefix is None:
+def take_frame(buffer: bytearray) -> tuple[bytes, bytes] | None:
+    """Pop the first whole frame off buffer as (header, body); None while
+    only part of one is there. A length out of bounds is rejected as soon
+    as its 4-byte prefix is in."""
+    if len(buffer) < 4:
         return None
-    (length,) = struct.unpack(">I", prefix)
+    (length,) = struct.unpack_from(">I", buffer)
     if not 16 <= length <= MAX_FRAME:
         raise FrameRejected(f"frame length {length} out of bounds")
-    frame = read_exact(sock, length, stop)
-    if frame is None:
+    if len(buffer) < 4 + length:
         return None
+    frame = bytes(buffer[4:4 + length])
+    del buffer[:4 + length]
     return split_frame(frame)
+
+
+def read_frame(sock: socket.socket) -> tuple[bytes, bytes]:
+    """The next (header, body) pair off a blocking socket. Bytes after that
+    frame are not kept, so the peer must wait for a reply before sending more."""
+    buffer = bytearray()
+    while (frame := take_frame(buffer)) is None:
+        chunk = sock.recv(4096)
+        if not chunk:
+            raise FrameRejected("connection closed before a whole frame came")
+        buffer += chunk
+    return frame
 
 
 @dataclass
@@ -149,10 +150,7 @@ class FeatureSender:
         wrapped, session = wrap_session_key(self.config)
         header = pack_header(MODE_HANDSHAKE, KIND_HANDSHAKE_INIT, 0, now_us())
         sock.sendall(build_frame(header, wrapped))
-        got = read_frame(sock)
-        if got is None:
-            raise FrameRejected("connection closed during handshake")
-        ack_header, ack_body = got
+        ack_header, ack_body = read_frame(sock)
         _, mode, kind, _, _ = parse_header(ack_header)
         if mode != MODE_HANDSHAKE or kind != KIND_HANDSHAKE_ACK:
             raise FrameRejected("expected handshake ack")
@@ -289,11 +287,18 @@ class FeatureSender:
 class FogReceiver:
     """Accepts sender connections and decodes their record frames.
 
+    One thread serves the listener and every connection through a
+    selector. It reads each connection into its own buffer, runs the
+    handshake on a connection's first frame and calls on_message in the
+    order the frames arrive. An exception raised by on_message stops the
+    receiver, as stop() would, and propagates out of its thread.
+
     Per camera, sequence numbers must keep increasing: regressions and
     duplicates are rejected, gaps are recorded. Frames failing header or
-    AEAD checks are dropped and counted, never delivered. In handshake mode
-    the X25519 private key is parsed here, once, so a malformed key or a
-    key of another type fails at construction rather than on the first
+    AEAD checks are dropped and counted, never delivered; a frame that
+    cannot be parsed also closes its connection. In handshake mode the
+    X25519 private key is parsed here, once, so a malformed key or a key
+    of another type fails at construction rather than on the first
     connection.
     """
 
@@ -310,11 +315,9 @@ class FogReceiver:
         self.rejected = 0
         self.duplicates = 0
         self._last_seq: dict[str, int] = {}
-        self._stop = threading.Event()
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: list[socket.socket] = []
-        self._lock = threading.Lock()
+        self._selector: selectors.BaseSelector | None = None
+        self._wake: socket.socket | None = None  # closing it ends the loop
+        self._thread: threading.Thread | None = None
         self.port: int | None = None
 
     def start(self) -> None:
@@ -322,79 +325,70 @@ class FogReceiver:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.config.host, self.config.port))
         listener.listen(8)
-        listener.settimeout(0.2)
-        self._listener = listener
+        listener.setblocking(False)
         self.port = listener.getsockname()[1]
-        accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._threads.append(accept_thread)  # before the loop can prune the list
-        accept_thread.start()
+        self._wake, woken = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(woken, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._serve, args=(listener, woken), daemon=True)
+        self._thread.start()
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(0.5)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                # stop() sets the flag before it takes its snapshot under
-                # this lock, so a connection accepted too late is closed
-                # here rather than left out of that snapshot.
-                if self._stop.is_set():
-                    conn.close()
-                    return
-                self._threads = [t for t in self._threads if t.is_alive()]
-                self._conns.append(conn)
-                thread = threading.Thread(target=self.receive_loop, args=(conn,), daemon=True)
-                thread.start()
-                self._threads.append(thread)
-
-    def receive_loop(self, conn: socket.socket) -> None:
-        """Drain one connection: establish its session, then deliver frames."""
+    def _serve(self, listener: socket.socket, woken: socket.socket) -> None:
         try:
-            session = self._connection_session(conn)
-            if session is None:
-                return
-            while not self._stop.is_set():
-                try:
-                    got = read_frame(conn, self._stop)
-                except FrameRejected as exc:
-                    self._reject(str(exc))
-                    return  # cannot trust framing any further
-                if got is None:
-                    return
-                self._handle_frame(session, *got)
-        except OSError:
-            return
+            while True:
+                for key, _ in self._selector.select():
+                    if key.fileobj is woken:
+                        return
+                    if key.fileobj is listener:
+                        self._accept(listener)
+                    else:
+                        self._read(key.fileobj, *key.data)
         finally:
-            with self._lock:
-                self._conns.remove(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
 
-    def _connection_session(self, conn: socket.socket) -> Session | None:
-        if self.config.mode != "handshake-then-symmetric":
-            return make_sender_session(self.config)
-        got = read_frame(conn, self._stop)
-        if got is None:
-            return None
-        header, body = got
+    def _accept(self, listener: socket.socket) -> None:
         try:
-            _, mode, kind, _, _ = parse_header(header)
-            if mode != MODE_HANDSHAKE or kind != KIND_HANDSHAKE_INIT:
-                raise FrameRejected("expected handshake init")
-            session = unwrap_session_key(self.config, body, self._private_key)
+            conn, _addr = listener.accept()
+        except OSError:  # the peer gave up before it was accepted
+            return
+        conn.setblocking(True)  # read only when ready; the ack is one small send
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        session = None if self._private_key is not None else make_sender_session(self.config)
+        self._selector.register(conn, selectors.EVENT_READ, (session, bytearray()))
+
+    def _read(self, conn: socket.socket, session: Session | None, buffer: bytearray) -> None:
+        """Handle the whole frames a connection sent; close it on EOF, a reset or bad framing."""
+        try:
+            data = conn.recv(65536)
+        except OSError:  # a reset ends the connection as EOF does
+            data = b""
+        buffer += data
+        try:
+            while data and (frame := take_frame(buffer)) is not None:
+                if session is None:
+                    session = self._open_session(conn, *frame)
+                    self._selector.modify(conn, selectors.EVENT_READ, (session, buffer))
+                else:
+                    self._handle_frame(session, *frame)
         except FrameRejected as exc:
-            self._reject(f"handshake failed: {exc}")
-            return None
+            self._reject(f"handshake failed: {exc}" if session is None else str(exc))
+            data = b""  # cannot trust framing any further
+        if not data:
+            self._selector.unregister(conn)
+            conn.close()
+
+    def _open_session(self, conn: socket.socket, header: bytes, body: bytes) -> Session:
+        """Unwrap the session key a connection's first frame carries, and ack it."""
+        _, mode, kind, _, _ = parse_header(header)
+        if mode != MODE_HANDSHAKE or kind != KIND_HANDSHAKE_INIT:
+            raise FrameRejected("expected handshake init")
+        session = unwrap_session_key(self.config, body, self._private_key)
         ack_header = pack_header(MODE_HANDSHAKE, KIND_HANDSHAKE_ACK, 0, now_us())
-        conn.sendall(build_frame(ack_header, session.seal(ack_header, ACK_PAYLOAD)))
+        with contextlib.suppress(OSError):  # a sender gone already is closed on the next read
+            conn.sendall(build_frame(ack_header, session.seal(ack_header, ACK_PAYLOAD)))
         return session
 
     def _handle_frame(self, session: Session, header: bytes, body: bytes) -> None:
@@ -411,55 +405,41 @@ class FogReceiver:
             self._reject(str(exc))
             return
 
-        with self._lock:
-            last = self._last_seq.get(camera_id)
-            if last is not None and sequence <= last:
-                self.duplicates += 1
-                self.error_log.append(camera_id, f"duplicate or regressed sequence {sequence}")
-                return
-            if last is not None and sequence > last + 1:
-                self.gaps.append((camera_id, last + 1, sequence))
-                self.error_log.append(
-                    camera_id, f"sequence gap: expected {last + 1}, got {sequence}")
-            self._last_seq[camera_id] = sequence
-            self.latency.add(sequence, MODE_BYTES[mode],
-                             4 + len(header) + len(body), received_at - sent_at)
+        last = self._last_seq.get(camera_id)
+        if last is not None and sequence <= last:
+            self.duplicates += 1
+            self.error_log.append(camera_id, f"duplicate or regressed sequence {sequence}")
+            return
+        if last is not None and sequence > last + 1:
+            self.gaps.append((camera_id, last + 1, sequence))
+            self.error_log.append(
+                camera_id, f"sequence gap: expected {last + 1}, got {sequence}")
+        self._last_seq[camera_id] = sequence
+        self.latency.add(sequence, MODE_BYTES[mode],
+                         4 + len(header) + len(body), received_at - sent_at)
         message = WireMessage(version=version, mode=mode, kind=kind,
                               sequence=sequence, sent_at=sent_at,
                               camera_id=camera_id, record=record)
         if self.on_message is not None:
             self.on_message(message)
         else:
-            with self._lock:
-                self.messages.append(message)
+            self.messages.append(message)
 
     def _reject(self, reason: str) -> None:
-        with self._lock:
-            self.rejected += 1
+        self.rejected += 1
         self.error_log.append("transport", f"frame rejected: {reason}")
         log.warning("frame rejected: %s", reason)
 
     @property
     def message_count(self) -> int:
-        with self._lock:
-            return len(self.messages)
+        return len(self.messages)
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns, threads = list(self._conns), list(self._threads)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in threads:
-            thread.join(timeout=2.0)
+        """End the loop; it closes the listener and every connection."""
+        if self._thread is not None:
+            self._wake.close()  # the loop reads EOF on the other end
+            self._thread.join(timeout=2.0)
+            self._thread = None
 
 
 def measure_latency(config: TransportConfig, records: list[FeatureRecord],

@@ -228,9 +228,16 @@ def test_clamp_case_rounds_below_zero():
     assert engine_module._sample(member, grid).tobytes() == np.array([0.0]).tobytes()
 
 
+# A segment 1e-300 wide: interpolating the grid points far outside it
+# would divide ~1e10 by 1e-300 and overflow.
+NARROW = (MembershipFunction("a", ((0.0, 0.0), (1e-300, 1.0))),
+          np.linspace(-1e10, 1e10, 11))
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=members_and_grids())
 @example(case=CLAMPED)
+@example(case=NARROW)
 def test_sampled_curve_equals_pointwise_evaluation(case):
     member, grid = case
     assert engine_module._sample(member, grid).tobytes() == evaluated(member, grid).tobytes()

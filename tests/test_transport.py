@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import secrets
 import socket
+import struct
 import threading
 import time
 from dataclasses import replace
@@ -257,19 +258,31 @@ BAD_INITS = {
     "sealed-33-byte-key": lambda init: sealed_key(33),
 }
 
+# A first frame whose length prefix is out of bounds, sent alone.
+BAD_PREFIXES = {
+    "length-0xffffffff": b"\xff\xff\xff\xff",
+    "length-8": struct.pack(">I", 8),
+}
+
+
+def bad_first_frames(cfg):
+    for name, corrupt in BAD_INITS.items():
+        wrapped, _ = wrap_session_key(cfg)
+        body = corrupt(wrapped)
+        assert body != wrapped, name
+        header = pack_header(MODE_HANDSHAKE, KIND_HANDSHAKE_INIT, 0, now_us())
+        yield name, build_frame(header, body)
+    yield from BAD_PREFIXES.items()
+
 
 def test_each_bad_handshake_init_is_one_reject_and_receiver_serves_on():
     cfg = config_for("handshake-then-symmetric")
     receiver = FogReceiver(cfg)
     receiver.start()
     try:
-        for n, (name, corrupt) in enumerate(BAD_INITS.items(), start=1):
-            wrapped, _ = wrap_session_key(cfg)
-            body = corrupt(wrapped)
-            assert body != wrapped, name
+        for n, (name, sent) in enumerate(bad_first_frames(cfg), start=1):
             with socket.create_connection(("127.0.0.1", receiver.port), timeout=5.0) as sock:
-                header = pack_header(MODE_HANDSHAKE, KIND_HANDSHAKE_INIT, 0, now_us())
-                sock.sendall(build_frame(header, body))
+                sock.sendall(sent)
                 assert sock.recv(64) == b"", f"{name}: a bad init must get no ack, only EOF"
             assert receiver.rejected == n, name
             assert "handshake failed" in receiver.error_log.entries[-1][2], name
@@ -285,7 +298,7 @@ def test_each_bad_handshake_init_is_one_reject_and_receiver_serves_on():
                 sender.close()
             assert wait_for(lambda: receiver.message_count == n), name
             assert receiver.messages[-1].camera_id == f"cam-{name}"
-        assert receiver.rejected == len(BAD_INITS)
+        assert receiver.rejected == len(BAD_INITS) + len(BAD_PREFIXES)
     finally:
         receiver.stop()
 
@@ -577,10 +590,13 @@ def test_reconnect_resumes_in_order():
 def test_receiver_forgets_finished_connections_and_stop_closes_live_ones():
     receiver = FogReceiver(config_for("symmetric"))
 
-    def tracked():
-        with receiver._lock:  # the accept loop adds a socket and its thread together
-            return list(receiver._conns), list(receiver._threads)
+    def watched():
+        """How many sockets the receiver's loop watches: its listener, its
+        end of the wake-up pair and each open connection. Only the length is
+        read, as the loop may change the map meanwhile."""
+        return len(receiver._selector.get_map())
 
+    threads_before = set(threading.enumerate())
     receiver.start()
     try:
         for i in range(20):
@@ -589,18 +605,50 @@ def test_receiver_forgets_finished_connections_and_stop_closes_live_ones():
             sender.send_record(simple_record(frame=i), f"cam-{i}")  # each a first record
             sender.close()
             assert wait_for(lambda: receiver.message_count == i + 1)
-        assert wait_for(lambda: sum(t.is_alive() for t in tracked()[1]) == 1)
-        assert tracked()[0] == []
+        assert wait_for(lambda: watched() == 2)
+
+        senders = [FeatureSender(replace(receiver.config, port=receiver.port))
+                   for _ in range(5)]
+        for i, sender in enumerate(senders):
+            sender.connect()
+            sender.send_record(simple_record(frame=i), f"cam-live-{i}")
+        assert wait_for(lambda: receiver.message_count == 25)
+        assert watched() == 2 + 5
+        writers = {sender._writer for sender in senders}
+        [loop] = set(threading.enumerate()) - threads_before - writers
+        for sender in senders:
+            sender.close()
+        assert wait_for(lambda: watched() == 2)
 
         with socket.create_connection(("127.0.0.1", receiver.port), timeout=2.0) as live:
-            assert wait_for(lambda: len(tracked()[0]) == 1)
-            [conn], threads = tracked()
-            assert len(threads) == 2  # the accept loop and the live connection
+            assert wait_for(lambda: watched() == 3)
+            own = [key.fileobj for key in receiver._selector.get_map().values()]
             receiver.stop()
-            assert conn.fileno() == -1
-            assert not any(thread.is_alive() for thread in threads)
+            assert all(sock.fileno() == -1 for sock in own + [receiver._wake])
+            assert not loop.is_alive()
             assert live.recv(1) == b""
     finally:
+        receiver.stop()
+
+
+def test_an_error_in_on_message_stops_the_receiver(monkeypatch):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: raised.append(args.exc_type))
+
+    def failing(message):
+        raise OSError("decision log disk full")
+
+    receiver = FogReceiver(config_for("plaintext"), on_message=failing)
+    receiver.start()
+    sender = FeatureSender(replace(receiver.config, port=receiver.port))
+    try:
+        sender.connect()
+        sender.send_record(simple_record(), "cam-1")
+        assert wait_for(lambda: raised == [OSError])
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", receiver.port), timeout=2.0)
+    finally:
+        sender.close()
         receiver.stop()
 
 
