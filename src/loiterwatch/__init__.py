@@ -9,8 +9,8 @@ the pipeline (in-process or over TCP) and evaluates alarm quality.
 
 The package, ``loiterwatch.fuzzy`` and ``loiterwatch.harness`` load their
 exports on first access (PEP 562), so each side imports only its own
-layers: the edge's tracker and transport load no numpy, and the in-process
-fog loads neither numpy nor the transport and cryptography. The top level
+layers: the in-process fog loads neither the transport nor cryptography.
+No module of the package imports numpy. The top level
 exports only what a fog node is built from; every other name is imported
 from its own module.
 """

@@ -10,13 +10,13 @@ every point. The score is the centroid of that envelope on a uniform grid of
 
 The centroid is computed in closed form, compiled when the engine is built.
 The output members' breakpoints cut the domain into spans on which every
-curve is one line; a grid point on a cut keeps each curve's degree there.
-Per weight vector, the envelope over a span is piecewise linear, so its sum
-and first moment over the span's grid points are closed forms per piece
-(``_centroid``). ``aggregate`` and ``defuzzify`` keep the sampled reference:
-the curves sampled on ``grid`` with numpy, clipped, maxed and summed. The
-scoring path never calls them, so scoring imports no numpy; they import it
-on first use. The two agree to rounding, about 1e-13 on the 0-100 scale.
+curve is one line; a grid point on a cut keeps each curve's degree there,
+the degree ``MembershipFunction.evaluate`` gives. Per weight vector, the
+envelope over a span is piecewise linear, so its sum and first moment over
+the span's grid points are closed forms per piece (``_centroid``). It
+agrees to rounding, about 1e-13 on the 0-100 scale, with the sampled
+reference the tests hold: each curve evaluated at every grid point,
+clipped, maxed and summed.
 
 ``score_record`` runs the rules compiled when the engine is built too: a
 flat degree list with one slot per (variable, label), then one flat step
@@ -27,7 +27,8 @@ memos skip work already done: each own input's degrees per crisp float,
 each object's score per its degrees of every variable, and the centroid
 per per-label weight vector. Every memo holds what the same pure
 computation returned, so scores are bit-identical to the tree walk over
-``fuzzify_all`` and ``Rule.evaluate`` followed by ``centroid``.
+``LinguisticVariable.fuzzify`` and ``Rule.evaluate`` followed by
+``centroid``.
 """
 
 from __future__ import annotations
@@ -35,18 +36,13 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..logs import ErrorLog
-from .membership import (HOLD, ConfigurationError, FuzzifiedValue,
-                         InputDataError, LinguisticVariable, MembershipFunction,
-                         crisp_input)
+from .membership import (HOLD, ConfigurationError, InputDataError,
+                         LinguisticVariable, MembershipFunction, crisp_input)
 from .rules import And, Antecedent, Atom, Rule
-
-if TYPE_CHECKING:  # the sampled reference imports numpy on first use
-    import numpy as np
 
 STATUS_OK = "ok"
 STATUS_INPUT_ERROR = "input-error"
@@ -94,15 +90,6 @@ class EngineConfig:
     @property
     def output_variable(self) -> LinguisticVariable:
         return self.variable(self.output)
-
-
-@dataclass(frozen=True)
-class AggregatedOutput:
-    """Pointwise-max envelope of the output curves clipped at their weights."""
-
-    grid: np.ndarray
-    envelope: np.ndarray
-    activations: dict[str, float]  # output label -> weight
 
 
 @dataclass(frozen=True)
@@ -155,28 +142,6 @@ def _degrees(x: float, members: tuple) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _sample(member: MembershipFunction, grid: np.ndarray) -> np.ndarray:
-    """``member.evaluate`` at every grid point in one numpy pass, bit for
-    bit: the same extension rules, the exact degree at a breakpoint, and
-    ``d0 + (d1 - d0) * (x - x0) / (x1 - x0)`` in that order, then clamped.
-    Each numpy operation rounds as the scalar one does. Only the points
-    between the end breakpoints are interpolated, where (x - x0) / (x1 - x0)
-    is at most 1: far outside, that ratio could overflow."""
-    import numpy as np
-
-    first_x, left, last_x, right, xs, ds, dds, dxs = _compile_member(member)
-    out = np.where(grid < first_x, left, right)
-    inside = (first_x <= grid) & (grid <= last_x)  # only these interpolate
-    x = grid[inside]
-    k = np.searchsorted(xs, x, side="right") - 1  # last breakpoint <= x
-    seg = np.minimum(k, len(xs) - 2)
-    x0 = np.take(xs, seg)
-    d = np.take(ds, seg) + np.take(dds, seg) * (x - x0) / np.take(dxs, seg)
-    d = np.where((0.0 <= d) & (d <= 1.0), d, np.where(d < 0.0, 0.0, 1.0))
-    out[inside] = np.where(np.take(xs, k) == x, np.take(ds, k), d)
-    return out
-
-
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """``np.linspace(lo, hi, n)`` bit for bit: i * step + lo, then hi last."""
     step = (hi - lo) / (n - 1)
@@ -190,11 +155,12 @@ def _compile_centroid(members: Sequence[MembershipFunction],
     Every breakpoint inside the domain, and both domain ends, cut the grid
     (``_linspace``) into open spans on which each curve is one line. A grid
     point on a cut is a point (index, (member position, degree) per member
-    with a degree > 0 there), each degree the one ``_sample`` gives. A
-    span with grid points is (first index i0, last index - i0, lines), a
-    line being (member position, degree at index i0, change per grid step)
-    for each member not 0 over the span; the degree at i0 is computed as
-    ``_sample`` computes it.
+    with a degree > 0 there), each degree the one
+    ``MembershipFunction.evaluate`` gives. A span with grid points is (first
+    index i0, last index - i0, lines), a line being (member position, degree
+    at index i0, change per grid step) for each member not 0 over the span;
+    the degree at i0 is interpolated as ``MembershipFunction.evaluate``
+    interpolates it.
     """
     lo, hi = domain
     grid = _linspace(lo, hi, n)
@@ -373,57 +339,10 @@ class FuzzyEngine:
         self._centroids: dict[tuple[float, ...], SuspicionScore] = {}
         self._memo_lock = threading.Lock()
 
-    @cached_property
-    def grid(self) -> np.ndarray:
-        """The output grid, ``np.linspace`` over the output domain."""
-        import numpy as np
-
-        lo, hi = self.config.output_variable.domain
-        return np.linspace(lo, hi, self.config.grid_resolution)
-
-    @cached_property
-    def _curves(self) -> dict[str, np.ndarray]:
-        """Each output member sampled on ``grid``, keyed by label."""
-        return {m.label: _sample(m, self.grid) for m in self.config.output_variable.members}
-
-    def fuzzify_all(self, inputs: Mapping[str, float]) -> dict[str, FuzzifiedValue]:
-        env = {}
-        for name, variable in self._inputs:
-            if name not in inputs:
-                raise InputDataError(f"missing input {name!r}")
-            env[name] = variable.fuzzify(inputs[name])
-        return env
-
-    def aggregate(self, weights: Mapping[str, float]) -> AggregatedOutput:
-        """Clip each output label's curve at its weight and take the pointwise max.
-
-        Labels with zero weight are skipped and left out of activations.
-        This and ``defuzzify`` are the sampled reference for ``centroid``.
-        """
-        import numpy as np
-
-        envelope = np.zeros_like(self.grid)
-        activations: dict[str, float] = {}
-        for label, w in weights.items():
-            if label not in self._curves:
-                raise ConfigurationError(f"no output member {label!r}")
-            if w <= 0.0:
-                continue
-            activations[label] = w
-            np.maximum(envelope, np.minimum(w, self._curves[label]), out=envelope)
-        return AggregatedOutput(grid=self.grid, envelope=envelope, activations=activations)
-
-    def defuzzify(self, agg: AggregatedOutput) -> SuspicionScore:
-        """Centroid of the envelope; an all-zero envelope scores 0."""
-        mass = float(agg.envelope.sum())
-        if mass <= 0.0:
-            return SuspicionScore(value=0.0)
-        value = float((agg.grid * agg.envelope).sum() / mass)
-        return SuspicionScore(value=value)
-
     def centroid(self, weights: Mapping[str, float]) -> SuspicionScore:
-        """``defuzzify(aggregate(weights))`` in closed form, as the scoring
-        path computes it; the two agree to rounding."""
+        """The centroid of the output curves clipped at ``weights`` (output
+        label -> weight, missing labels 0) and maxed, as the scoring path
+        computes it; an envelope with no mass scores 0."""
         out = self.config.output_variable
         labels = out.labels()
         for label in weights:

@@ -43,7 +43,7 @@ class ValidationReport:
 
 def _coverage_gaps(var: LinguisticVariable, samples: int) -> list[tuple[float, float]]:
     """Intervals of the domain where max membership drops below the floor,
-    sampled at the points of ``np.linspace`` over the domain."""
+    sampled at the points of ``_linspace`` over the domain."""
     xs = _linspace(*var.domain, samples)
     gaps: list[tuple[float, float]] = []
     start = None

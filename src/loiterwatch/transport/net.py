@@ -360,7 +360,8 @@ class FogReceiver:
         self._selector.register(conn, selectors.EVENT_READ, (session, bytearray()))
 
     def _read(self, conn: socket.socket, session: Session | None, buffer: bytearray) -> None:
-        """Handle the whole frames a connection sent; close it on EOF, a reset or bad framing."""
+        """Handle the whole frames a connection sent; close it on EOF, a reset
+        or bad framing. EOF in the middle of a frame is one reject."""
         try:
             data = conn.recv(65536)
         except OSError:  # a reset ends the connection as EOF does
@@ -376,6 +377,9 @@ class FogReceiver:
         except FrameRejected as exc:
             self._reject(f"handshake failed: {exc}" if session is None else str(exc))
             data = b""  # cannot trust framing any further
+        else:
+            if not data and buffer:
+                self._reject(f"connection closed mid-frame, {len(buffer)} bytes lost")
         if not data:
             self._selector.unregister(conn)
             conn.close()

@@ -15,7 +15,6 @@ from loiterwatch.fuzzy import (
     EngineConfig,
     FuzzyEngine,
     HOLD,
-    InputDataError,
     LinguisticVariable,
     MembershipFunction,
     Or,
@@ -104,10 +103,6 @@ class TestErrorHandling:
         assert result.value == 0.0
         assert len(engine.error_log.entries) == 1
 
-    def test_fuzzify_all_raises_directly(self, engine):
-        with pytest.raises(InputDataError):
-            engine.fuzzify_all({"hour": 3.0})
-
 
 def tiny_config():
     """One input, one rule that is silent over half the domain."""
@@ -181,15 +176,6 @@ def evaluated(member, grid):
     return np.array([member.evaluate(z) for z in grid])
 
 
-@pytest.mark.parametrize("resolution", [5, 1001, 5001])
-def test_output_curves_equal_pointwise_evaluation(config, resolution):
-    from dataclasses import replace
-    engine = FuzzyEngine(replace(config, grid_resolution=resolution))
-    for member in config.output_variable.members:
-        curve = engine._curves[member.label]
-        assert curve.tobytes() == evaluated(member, engine.grid).tobytes(), member.label
-
-
 def ulps(x, steps):
     """The float ``steps`` representable values above x (below for steps < 0)."""
     for _ in range(abs(steps)):
@@ -225,11 +211,12 @@ def test_clamp_case_rounds_below_zero():
     member, grid = CLAMPED
     (x0, d0), (x1, d1) = member.breakpoints
     assert d0 + (d1 - d0) * (grid[0] - x0) / (x1 - x0) < 0.0
-    assert engine_module._sample(member, grid).tobytes() == np.array([0.0]).tobytes()
+    compiled = (engine_module._compile_member(member),)
+    assert engine_module._degrees(float(grid[0]), compiled) == (0.0,)
 
 
-# A segment 1e-300 wide: interpolating the grid points far outside it
-# would divide ~1e10 by 1e-300 and overflow.
+# A segment 1e-300 wide, probed far outside it, where interpolating would
+# divide ~1e10 by 1e-300 and overflow.
 NARROW = (MembershipFunction("a", ((0.0, 0.0), (1e-300, 1.0))),
           np.linspace(-1e10, 1e10, 11))
 
@@ -238,9 +225,11 @@ NARROW = (MembershipFunction("a", ((0.0, 0.0), (1e-300, 1.0))),
 @given(case=members_and_grids())
 @example(case=CLAMPED)
 @example(case=NARROW)
-def test_sampled_curve_equals_pointwise_evaluation(case):
+def test_compiled_degrees_equal_pointwise_evaluation(case):
     member, grid = case
-    assert engine_module._sample(member, grid).tobytes() == evaluated(member, grid).tobytes()
+    compiled = (engine_module._compile_member(member),)
+    for x in grid.tolist():
+        assert engine_module._degrees(x, compiled)[0] == member.evaluate(x), x
 
 
 OUTPUT_LABELS = ("very-low", "low", "medium", "high", "very-high")
@@ -250,7 +239,7 @@ OUTPUT_LABELS = ("very-low", "low", "medium", "high", "very-high")
 @given(weights=st.lists(st.floats(0, 1, allow_nan=False), min_size=5, max_size=5))
 def test_aggregate_centroid_matches_oracle(engine, config, weights):
     activations = dict(zip(OUTPUT_LABELS, weights))
-    got = engine.defuzzify(engine.aggregate(activations)).value
+    got = reference_centroid(engine, activations)
     ref = centroid_of_activations(config_to_dict(config), activations,
                                   config.grid_resolution)
     assert got == pytest.approx(ref, abs=1e-9)
@@ -281,7 +270,16 @@ def test_grid_equals_numpy_linspace(lo, width, n):
 
 
 def reference_centroid(engine, weights):
-    return engine.defuzzify(engine.aggregate(weights)).value
+    """The sampled centroid: each output curve evaluated at every grid
+    point, clipped at its weight, maxed, and the envelope's centroid."""
+    out = engine.config.output_variable
+    grid = np.linspace(*out.domain, engine.config.grid_resolution)
+    envelope = np.zeros_like(grid)
+    for label, w in weights.items():
+        if w > 0.0:
+            np.maximum(envelope, np.minimum(w, evaluated(out.member(label), grid)), out=envelope)
+    mass = envelope.sum()
+    return float((grid * envelope).sum() / mass) if mass > 0.0 else 0.0
 
 
 @st.composite
@@ -340,20 +338,15 @@ def test_centroid_rejects_an_unknown_label(engine):
         engine.centroid({"bogus": 0.5})
 
 
-def test_envelope_never_exceeds_strongest_weight(engine):
-    agg = engine.aggregate({"medium": 0.4, "high": 0.7})
-    assert float(agg.envelope.max()) <= 0.7 + 1e-12
-    assert set(agg.activations) == {"medium", "high"}
-
-
 # -- the compiled scoring path against the tree walk ------------------------
 
 def tree_walk(engine, inputs):
     """Score through the public pieces: fuzzify, per-rule premise weights,
     each label's strongest weight, then the closed-form centroid, which
-    the tests below compare with the sampled ``aggregate``/``defuzzify``."""
-    env = engine.fuzzify_all(inputs)
-    rules = [r for r in engine.config.rules if r.enabled]
+    the tests above compare with ``reference_centroid``."""
+    config = engine.config
+    env = {name: config.variable(name).fuzzify(inputs[name]) for name in config.input_names}
+    rules = [r for r in config.rules if r.enabled]
     weights = {label: max(r.evaluate(env) for r in rules if r.consequent == label)
                for label in {r.consequent for r in rules}}
     return engine.centroid(weights).value

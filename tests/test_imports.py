@@ -1,9 +1,10 @@
 """What each side of the pipeline imports, and the packages' lazy exports.
 
-The edge (tracker, transport, stream loader) runs without numpy, and the
-in-process fog and in-process replay without numpy, the transport or
-cryptography. Each footprint is checked in a fresh interpreter, since the
-test process has loaded everything already.
+numpy is a test dependency: no command or side of the pipeline loads it.
+The edge (tracker, transport, stream loader) runs without the fuzzy
+engine, and the in-process fog and in-process replay without the
+transport or cryptography. Each footprint is checked in a fresh
+interpreter, since the test process has loaded everything already.
 """
 
 from __future__ import annotations
@@ -120,6 +121,35 @@ def test_cli_help_loads_neither_numpy_nor_cryptography():
                 assert exc.code == 0, command
     """, ("numpy", "cryptography"))
     assert loaded == set()
+
+
+def test_every_command_runs_where_numpy_cannot_load(tmp_path):
+    """numpy is a test dependency only: each command, on small inputs, in an
+    interpreter where importing numpy fails."""
+    loaded_after(f"""
+        import sys
+        sys.modules["numpy"] = None  # makes every import of numpy fail
+        from pathlib import Path
+        from loiterwatch.cli import main
+
+        out = Path({str(tmp_path)!r})
+        scenario = str(out / "scen" / "l1.scenario.json")
+        verdict = str(out / "eval" / "l1.json")
+        for command in (
+                ["generate", "--kind", "loiter", "--out", str(out / "scen"), "--name", "l1",
+                 "--seed", "3", "--duration", "20"],
+                ["replay", scenario, "--out", str(out / "runs")],
+                ["replay", scenario, "--out", str(out / "link"), "--transport", "loopback",
+                 "--mode", "handshake-then-symmetric"],
+                ["evaluate", scenario, str(out / "runs" / "l1.decisions.csv"), "--out", verdict],
+                ["report", verdict, "--out", str(out / "report")],
+                ["validate-config"],
+                ["suite", "--out", str(out / "suite")]):
+            try:
+                main(command)
+            except SystemExit as exc:
+                assert exc.code == 0, (command, exc.code)
+    """, ())
 
 
 def home_bindings(package: str, name: str) -> list[object]:

@@ -405,6 +405,30 @@ def test_mode_mismatch_is_rejected():
         receiver.stop()
 
 
+@pytest.mark.parametrize("delivered", [0, 1], ids=["first-frame", "after-one-record"])
+def test_connection_closed_mid_frame_is_one_reject(delivered):
+    """A 256-byte length prefix and 100 of its bytes, then EOF: 104 bytes
+    lost, counted and logged once; a record before them still arrives."""
+    cfg = config_for("plaintext")
+    receiver = FogReceiver(cfg)
+    receiver.start()
+    try:
+        session = make_sender_session(cfg)
+        payload = encode_record(simple_record(), "cam-1")
+        header = pack_header(0, KIND_DATA, 1, now_us())
+        whole = build_frame(header, session.seal(header, payload)) * delivered
+        with socket.create_connection(("127.0.0.1", receiver.port)) as sock:
+            sock.sendall(whole + struct.pack(">I", 256) + bytes(100))
+        assert wait_for(lambda: receiver.rejected >= 1)
+        assert receiver.rejected == 1
+        assert [m.sequence for m in receiver.messages] == [1] * delivered
+        [(_, source, reason)] = receiver.error_log.entries
+        assert source == "transport"
+        assert reason == "frame rejected: connection closed mid-frame, 104 bytes lost"
+    finally:
+        receiver.stop()
+
+
 def test_sequence_gaps_and_duplicates_are_tracked():
     cfg = config_for("symmetric")
     receiver = FogReceiver(cfg)
