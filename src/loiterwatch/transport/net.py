@@ -3,12 +3,12 @@
 The receiver runs one thread, a selector loop over the listener and every
 connection, and hands records to on_message in the order they arrive.
 
-The sender runs a writer thread behind a bounded queue (the in-flight
-window): callers block on send_record once the window is full. The writer
-sends every record already queued with one write, so a busy link costs
-few syscalls and thread switches per record. While the
-link is down records accumulate in a deque spanning at most the configured
-buffer seconds; older records are dropped oldest-first and counted.
+The sender starts no thread. send_record buffers each record and, while
+the sender is linked, writes everything buffered with one blocking send on
+the caller's thread, so TCP's own socket buffer holds a sender back when
+the receiver falls behind. While the link is down records accumulate in
+the buffer, which spans at most the configured buffer seconds; older
+records are dropped oldest-first and counted.
 Each camera's records are numbered separately, as the receiver checks
 them, and the numbers keep increasing across reconnects, so its gap
 tracking reports exactly what was lost.
@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import logging
-import queue
 import selectors
 import socket
 import struct
@@ -41,7 +40,7 @@ log = logging.getLogger(__name__)
 
 ACK_PAYLOAD = b"ok"
 
-_STOP = object()
+IN_FLIGHT = 64  # measure_latency's bound on records between send_record and delivery
 
 
 def now_us() -> int:
@@ -108,25 +107,24 @@ class LatencyStats:
 
 
 class FeatureSender:
-    """Edge-side record sender for one camera stream."""
+    """Edge-side record sender for one camera stream.
+
+    Like TrackFeatureExtractor, a sender expects a single caller thread:
+    every record is written on the thread that sends it, and the sender
+    starts no thread of its own.
+    """
 
     def __init__(self, config: TransportConfig, error_log: ErrorLog | None = None):
         self.config = config
         self.error_log = error_log or ErrorLog()
         self.dropped = 0
-        self._handed = 0  # records written to a socket; only the writer thread counts
-        self._queue: queue.Queue = queue.Queue(maxsize=config.window)
-        self._buffer: deque = deque()  # [arrival_s, sequence, sent_at, payload]
+        self._buffer: deque = deque()  # (arrival_s, sequence, payload), oldest first
         self._seq: dict[str, int] = {}  # last sequence number per camera
-        self._accepted = 0  # records given to send_record
         self._sock: socket.socket | None = None
         self._session: Session | None = None
-        self._lock = threading.Lock()
-        self._writer: threading.Thread | None = None
-
-    # -- connection management ------------------------------------------
 
     def connect(self) -> None:
+        """Open the link, with its handshake, then write what is buffered."""
         sock = socket.create_connection(
             (self.config.host, self.config.port), timeout=self.config.connect_timeout)
         try:
@@ -140,11 +138,8 @@ class FeatureSender:
         except BaseException:
             sock.close()  # a failed handshake leaves no socket open
             raise
-        with self._lock:
-            self._sock, self._session = sock, session
-        if self._writer is None:
-            self._writer = threading.Thread(target=self._writer_loop, daemon=True)
-            self._writer.start()
+        self._sock, self._session = sock, session
+        self._write()
 
     def _handshake(self, sock: socket.socket) -> Session:
         wrapped, session = wrap_session_key(self.config)
@@ -159,129 +154,72 @@ class FeatureSender:
         return session
 
     def reconnect(self) -> None:
-        """Re-establish the link; buffered records flush in order."""
+        """Re-establish the link; buffered records go out in order."""
         self._close_socket()
         self.connect()
 
-    # -- sending ---------------------------------------------------------
-
     def send_record(self, record: FeatureRecord, camera_id: str) -> int:
-        """Queue one record; blocks while the in-flight window is full.
+        """Buffer one record and, while linked, write everything buffered.
 
         Returns the sequence number assigned to the record, counted per camera.
         """
         payload = encode_record(record, camera_id)
-        with self._lock:
-            seq = self._seq[camera_id] = self._seq.get(camera_id, 0) + 1
-            self._accepted += 1
-        self._queue.put([time.monotonic(), seq, now_us(), payload])
+        seq = self._seq[camera_id] = self._seq.get(camera_id, 0) + 1
+        arrival = time.monotonic()
+        self._buffer.append((arrival, seq, payload))
+        # Keep at most buffer_seconds of records, dropping oldest first.
+        while self._buffer and arrival - self._buffer[0][0] > self.config.buffer_seconds:
+            _, dropped, _ = self._buffer.popleft()
+            self.dropped += 1
+            self.error_log.append("transport", f"dropped buffered record seq {dropped}")
+        self._write()
         return seq
 
-    def _writer_loop(self) -> None:
-        while True:
-            if self._sock is not None and self._buffer:
-                count = min(len(self._buffer), self.config.window)
-                self._transmit([self._buffer.popleft() for _ in range(count)])
-                continue
-            batch, stop = self._take_queued()
-            if self._sock is not None and not self._buffer:
-                self._transmit(batch)
-            else:
-                # A backlog exists (or the link is down): joining its tail
-                # keeps records in sequence order across reconnects.
-                for item in batch:
-                    self._buffer_item(item)
-            for _ in range(len(batch) + stop):
-                self._queue.task_done()
-            if stop:
-                return
-
-    def _take_queued(self) -> tuple[list, bool]:
-        """Block for one queued record, then take those already waiting
-        behind it, up to a window's worth; True once the stop marker is met."""
-        batch: list = []
-        item = self._queue.get()
-        while item is not _STOP:
-            batch.append(item)
-            if len(batch) == self.config.window:
-                return batch, False
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return batch, False
-        return batch, True
-
-    def _transmit(self, batch: list) -> None:
-        """Write a run of records with one send; on failure they return,
-        in order, to the buffer front (anything still queued is newer)."""
-        if not batch:
+    def _write(self) -> None:
+        """Seal everything buffered and write it with one send. The buffer
+        is cleared only once the write succeeds; on failure the socket is
+        closed and the records stay buffered, in order."""
+        if self._sock is None or not self._buffer:
             return
-        with self._lock:
-            sock, session = self._sock, self._session
-        if sock is None or session is None:
-            # The link went down after the writer looked; a run taken from
-            # the buffer front must go back there to keep sequence order.
-            self._buffer.extendleft(reversed(batch))
-            return
+        sent_at = now_us()
         frames = []
-        for _, seq, sent_at, payload in batch:
-            header = pack_header(session.mode_byte, KIND_DATA, seq, sent_at)
-            frames.append(build_frame(header, session.seal(header, payload)))
+        for _, seq, payload in self._buffer:
+            header = pack_header(self._session.mode_byte, KIND_DATA, seq, sent_at)
+            frames.append(build_frame(header, self._session.seal(header, payload)))
         try:
-            if peer_closed(sock):
+            if peer_closed(self._sock):
                 raise ConnectionError("receiver closed the link")
-            sock.sendall(b"".join(frames))
+            self._sock.sendall(b"".join(frames))
         except OSError as exc:
-            log.warning("send failed (seq %d-%d): %s; buffering", batch[0][1], batch[-1][1], exc)
+            log.warning("send failed (seq %d-%d): %s; buffering",
+                        self._buffer[0][1], self._buffer[-1][1], exc)
             self._close_socket()
-            self._buffer.extendleft(reversed(batch))
             return
-        self._handed += len(batch)
+        self._buffer.clear()
 
-    def _buffer_item(self, item: list) -> None:
-        self._buffer.append(item)
-        # Keep at most buffer_seconds of records, dropping oldest first.
-        while self._buffer and item[0] - self._buffer[0][0] > self.config.buffer_seconds:
-            dropped = self._buffer.popleft()
-            self.dropped += 1
-            self.error_log.append("transport", f"dropped buffered record seq {dropped[1]}")
-
-    def flush(self, timeout: float = 10.0) -> int:
-        """Wait until every record sent so far has been handed to the socket.
-
-        Returns how many records were still queued or buffered at the
-        deadline, 0 once all went out; records dropped from the buffer are
-        counted in ``dropped`` instead. A nonzero count is also logged.
-        """
-        deadline = time.monotonic() + timeout
-        while self._unsent() and time.monotonic() < deadline:
-            time.sleep(0.005)
-        pending = self._unsent()
-        if pending:
-            self.error_log.append("transport", f"flush deadline passed with {pending} records not sent")
-        return pending
-
-    def _unsent(self) -> int:
-        """Records given to send_record but neither written nor dropped."""
-        return self._accepted - self._handed - self.dropped
+    def flush(self) -> int:
+        """Write whatever is buffered if linked. Returns how many records are
+        still buffered, and logs that count when it is not 0; records dropped
+        from the buffer are counted in ``dropped`` instead."""
+        self._write()
+        if self._buffer:
+            self.error_log.append("transport", f"flush left {len(self._buffer)} records unsent")
+        return len(self._buffer)
 
     def close(self) -> None:
-        """Flush (only while linked: nothing reconnects a down link), then close."""
-        if self._writer is not None:
-            self.flush(timeout=10.0 if self._sock is not None else 0.0)
-            self._queue.put(_STOP)
-            self._writer.join(timeout=5.0)
-            self._writer = None
+        """Write what is buffered while linked, then close; what is left is discarded and logged."""
+        self._write()
+        if self._buffer:
+            self.error_log.append("transport",
+                                  f"close discarded {len(self._buffer)} buffered records")
+            self._buffer.clear()
         self._close_socket()
 
     def _close_socket(self) -> None:
-        with self._lock:
-            sock, self._sock, self._session = self._sock, None, None
+        sock, self._sock, self._session = self._sock, None, None
         if sock is not None:
-            try:
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
 
 
 class FogReceiver:
@@ -346,6 +284,8 @@ class FogReceiver:
                         self._read(key.fileobj, *key.data)
         finally:
             for key in list(self._selector.get_map().values()):
+                if key.data is not None and key.data[1]:
+                    self._reject(f"receiver stopped mid-frame, {len(key.data[1])} bytes lost")
                 key.fileobj.close()
             self._selector.close()
 
@@ -439,7 +379,8 @@ class FogReceiver:
         return len(self.messages)
 
     def stop(self) -> None:
-        """End the loop; it closes the listener and every connection."""
+        """End the loop; it closes the listener and every connection. A
+        connection holding part of a frame counts one reject."""
         if self._thread is not None:
             self._wake.close()  # the loop reads EOF on the other end
             self._thread.join(timeout=2.0)
@@ -452,7 +393,7 @@ def measure_latency(config: TransportConfig, records: list[FeatureRecord],
     """Loopback round: stream records through a local receiver, return
     (latency stats, decoded records in arrival order).
 
-    At most ``config.window`` records are between send_record and delivery.
+    At most ``IN_FLIGHT`` records are between send_record and delivery.
     Without that bound the socket buffers let the sender run hundreds of
     records ahead for the same input, and the mean measured that backlog
     rather than the link. A full window is refilled once half of it has
@@ -463,7 +404,7 @@ def measure_latency(config: TransportConfig, records: list[FeatureRecord],
     """
     delivered: list[FeatureRecord] = []
     refill = threading.Condition()
-    low = config.window // 2
+    low = IN_FLIGHT // 2
     sent = 0
 
     def on_message(message: WireMessage) -> None:
@@ -474,21 +415,20 @@ def measure_latency(config: TransportConfig, records: list[FeatureRecord],
 
     receiver = FogReceiver(config, on_message=on_message)
     receiver.start()
-    sender_config = replace(config, port=receiver.port)
-    sender = FeatureSender(sender_config)
+    sender = FeatureSender(replace(config, port=receiver.port))
     sender.connect()
     deadline = time.monotonic() + timeout
     gc.collect()
     try:
         for record in records:
-            if sent - len(delivered) >= config.window:
+            if sent - len(delivered) >= IN_FLIGHT:
                 with refill:
                     if not refill.wait_for(lambda: sent - len(delivered) <= low,
                                            timeout=max(0.0, deadline - time.monotonic())):
                         break
             sent += 1
             sender.send_record(record, camera_id)
-        sender.flush(timeout=max(0.0, deadline - time.monotonic()))
+        sender.flush()
         while len(delivered) < sent and time.monotonic() < deadline:
             time.sleep(0.002)
     finally:

@@ -43,7 +43,6 @@ class TransportConfig:
     psk_hex: str | None = None                 # symmetric mode
     server_public_key_pem: str | None = None   # handshake mode, sender side
     server_private_key_pem: str | None = None  # handshake mode, receiver side
-    window: int = 64                           # in-flight message bound
     buffer_seconds: float = 10.0               # disconnect buffer span
     connect_timeout: float = 5.0
 

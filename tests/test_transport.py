@@ -24,6 +24,7 @@ from loiterwatch.transport import (
     decode_record,
     encode_record,
     generate_keypair,
+    load_transport_config,
     make_sender_session,
     measure_latency,
 )
@@ -210,7 +211,7 @@ def test_receiver_parses_private_key_once(monkeypatch):
             sender = FeatureSender(replace(cfg, port=receiver.port))
             sender.connect()
             sender.send_record(simple_record(frame=frame), f"cam-{frame}")
-            assert sender.flush(timeout=5.0) == 0
+            assert sender.flush() == 0
             sender.close()
         deadline = time.monotonic() + 5.0
         while receiver.message_count < 2 and time.monotonic() < deadline:
@@ -293,7 +294,7 @@ def test_each_bad_handshake_init_is_one_reject_and_receiver_serves_on():
             sender.connect()
             try:
                 sender.send_record(simple_record(), f"cam-{name}")
-                assert sender.flush(timeout=5.0) == 0, name
+                assert sender.flush() == 0, name
             finally:
                 sender.close()
             assert wait_for(lambda: receiver.message_count == n), name
@@ -331,10 +332,17 @@ def test_rsa_keys_are_refused_on_both_sides(monkeypatch):
         with pytest.raises(ValueError, match="not an X25519 public key"):
             sender.connect()
         assert len(opened) == 1 and opened[0].fileno() == -1
-        assert sender._sock is None and sender._writer is None
+        assert sender._sock is None
     finally:
         receiver.stop()
     assert receiver.rejected == 0
+
+
+def test_transport_config_with_window_fails_naming_the_key(tmp_path):
+    path = tmp_path / "transport.json"
+    path.write_text('{"mode": "plaintext", "window": 64}', encoding="utf-8")
+    with pytest.raises(TypeError, match="'window'"):
+        load_transport_config(path)
 
 
 def test_psk_validation():
@@ -429,6 +437,28 @@ def test_connection_closed_mid_frame_is_one_reject(delivered):
         receiver.stop()
 
 
+def test_sender_starts_no_thread():
+    cfg = config_for("handshake-then-symmetric")
+    receiver = FogReceiver(cfg)
+    receiver.start()
+    try:
+        threads = threading.active_count()
+        sender = FeatureSender(replace(cfg, port=receiver.port))
+        sender.connect()
+        assert threading.active_count() == threads
+        sender.send_record(simple_record(frame=1), "cam-1")
+        assert threading.active_count() == threads
+        sender.reconnect()
+        assert threading.active_count() == threads
+        sender.send_record(simple_record(frame=2), "cam-1")
+        sender.close()
+        assert threading.active_count() == threads
+        assert wait_for(lambda: receiver.message_count == 2)
+        assert [m.sequence for m in receiver.messages] == [1, 2]
+    finally:
+        receiver.stop()
+
+
 def test_sequence_gaps_and_duplicates_are_tracked():
     cfg = config_for("symmetric")
     receiver = FogReceiver(cfg)
@@ -473,39 +503,28 @@ def test_one_sender_numbers_each_camera_separately():
         receiver.stop()
         for i, camera in enumerate(["cam-a", "cam-b", "cam-b"]):
             sender.send_record(simple_record(frame=10 + i), camera)
-        assert sender.flush(timeout=0.2) == 3  # counted over both cameras
+        assert sender.flush() == 3  # counted over both cameras
     finally:
         sender.close()
         receiver.stop()
 
 
-def test_send_blocks_when_window_full_until_connected():
-    cfg = config_for("plaintext", window=3)
+def test_records_sent_before_connect_are_delivered_in_order_on_connect():
+    cfg = config_for("plaintext")
     sender = FeatureSender(cfg)
-    for i in range(3):
-        sender.send_record(simple_record(frame=i), "cam-1")
-
-    fourth_sent = threading.Event()
-
-    def send_fourth():
-        sender.send_record(simple_record(frame=99), "cam-1")
-        fourth_sent.set()
-
-    blocked = threading.Thread(target=send_fourth, daemon=True)
-    blocked.start()
-    assert not fourth_sent.wait(0.3), "4th record should wait for the window"
+    seqs = [sender.send_record(simple_record(frame=i), "cam-1") for i in range(4)]
+    assert seqs == [1, 2, 3, 4]
+    assert sender.flush() == 4  # nothing to write to yet
 
     receiver = FogReceiver(cfg)
     receiver.start()
     try:
         sender.config = replace(cfg, port=receiver.port)
-        sender.connect()
-        assert fourth_sent.wait(5.0)
-        sender.flush()
-        deadline = time.monotonic() + 5.0
-        while receiver.message_count < 4 and time.monotonic() < deadline:
-            time.sleep(0.01)
+        sender.connect()  # writes the buffer; no further send or flush
+        assert wait_for(lambda: receiver.message_count == 4)
         assert [m.sequence for m in receiver.messages] == [1, 2, 3, 4]
+        assert [m.record.frame_index for m in receiver.messages] == [0, 1, 2, 3]
+        assert sender.flush() == 0
     finally:
         sender.close()
         receiver.stop()
@@ -540,31 +559,42 @@ def test_flush_counts_records_not_sent_while_link_is_down():
     try:
         sender.send_record(simple_record(frame=0), "cam-1")
         assert sender.flush() == 0
+        assert wait_for(lambda: receiver.message_count == 1)
         receiver.stop()
         for i in range(1, 4):
             sender.send_record(simple_record(frame=i), "cam-1")
-        assert sender.flush(timeout=0.2) == 3
+        assert sender.flush() == 3
         assert [reason for _, _, reason in sender.error_log.entries] == [
-            "flush deadline passed with 3 records not sent"]
+            "flush left 3 records unsent"]
         assert [m.sequence for m in receiver.messages] == [1]
     finally:
         sender.close()
-    assert sender._writer is None and sender._sock is None
+    assert sender._sock is None
+    assert sender.error_log.entries[-1][2] == "close discarded 3 buffered records"
+    assert sender.flush() == 0
 
 
 @pytest.mark.parametrize("link", ["peer-closed", "socket-gone"])
 def test_failed_batch_returns_to_buffer_front_in_order(link):
+    """A write that fails leaves every buffered record in place, in order,
+    and closes the socket: the peer's EOF is seen before the write, or the
+    local socket can no longer send."""
     cfg = config_for("plaintext")
     sender = FeatureSender(cfg)
+    for i in range(3):  # not linked yet: these wait in the buffer
+        sender.send_record(simple_record(frame=i), "cam-1")
+    left, right = socket.socketpair()
     if link == "peer-closed":
-        left, right = socket.socketpair()
-        right.close()  # the writer sees the peer's EOF before it writes
-        sender._sock, sender._session = left, make_sender_session(cfg)
-    items = [[0.0, seq, now_us(), b"r%d" % seq] for seq in range(1, 6)]
-    sender._buffer.extend(items[3:])  # newer records already waiting
-    sender._transmit(items[:3])
-    assert [item[1] for item in sender._buffer] == [1, 2, 3, 4, 5]
-    assert sender._sock is None and sender._handed == 0
+        right.close()
+    else:
+        left.shutdown(socket.SHUT_WR)  # sendall raises BrokenPipeError
+    sender._sock, sender._session = left, make_sender_session(cfg)
+    try:
+        assert sender.send_record(simple_record(frame=3), "cam-1") == 4
+        assert [seq for _, seq, _ in sender._buffer] == [1, 2, 3, 4]
+        assert sender._sock is None and left.fileno() == -1
+    finally:
+        right.close()
 
 
 def test_reconnect_resumes_in_order():
@@ -638,8 +668,7 @@ def test_receiver_forgets_finished_connections_and_stop_closes_live_ones():
             sender.send_record(simple_record(frame=i), f"cam-live-{i}")
         assert wait_for(lambda: receiver.message_count == 25)
         assert watched() == 2 + 5
-        writers = {sender._writer for sender in senders}
-        [loop] = set(threading.enumerate()) - threads_before - writers
+        [loop] = set(threading.enumerate()) - threads_before
         for sender in senders:
             sender.close()
         assert wait_for(lambda: watched() == 2)
@@ -676,6 +705,85 @@ def test_an_error_in_on_message_stops_the_receiver(monkeypatch):
         receiver.stop()
 
 
+def held_bytes(receiver) -> int:
+    """Bytes the receiver's loop holds in its connections' buffers; -1 if
+    the loop changed its map while it was read."""
+    try:
+        return sum(len(key.data[1]) for key in list(receiver._selector.get_map().values())
+                   if key.data is not None)
+    except (RuntimeError, KeyError):
+        return -1
+
+
+def test_receiver_stopped_mid_frame_is_one_reject():
+    """A 256-byte length prefix and 100 of its bytes, then stop(): the 104
+    bytes held are counted and logged once."""
+    receiver = FogReceiver(config_for("plaintext"))
+    receiver.start()
+    try:
+        with socket.create_connection(("127.0.0.1", receiver.port)) as sock:
+            sock.sendall(struct.pack(">I", 256) + bytes(100))
+            assert wait_for(lambda: held_bytes(receiver) == 104)
+            receiver.stop()
+        assert receiver.rejected == 1
+        [(_, source, reason)] = receiver.error_log.entries
+        assert source == "transport"
+        assert reason == "frame rejected: receiver stopped mid-frame, 104 bytes lost"
+    finally:
+        receiver.stop()
+
+
+@st.composite
+def cut_streams(draw):
+    """(frames, cut): k whole plaintext frames, numbered from 1, and a cut
+    at any byte of the stream they make."""
+    session = make_sender_session(config_for("plaintext"))
+    frames = []
+    for seq in range(1, draw(st.integers(1, 4)) + 1):
+        objects = tuple((i, 1.5 * i, i % 3, i % 5) for i in range(draw(st.integers(0, 3))))
+        header = pack_header(0, KIND_DATA, seq, now_us())
+        payload = encode_record(simple_record(frame=seq, objects=objects), "cam-1")
+        frames.append(build_frame(header, session.seal(header, payload)))
+    return frames, draw(st.integers(0, sum(map(len, frames))))
+
+
+@pytest.mark.parametrize("ending", ["eof", "stop"])
+@settings(max_examples=40, deadline=None)
+@given(cut=cut_streams())
+def test_a_stream_cut_at_any_byte_delivers_whole_frames_and_rejects_the_torn_one(ending, cut):
+    """Every whole frame before the cut arrives in order; a cut inside a
+    frame is one reject, whether the sender closes or the receiver stops."""
+    frames, at = cut
+    whole, boundary = 0, 0
+    while whole < len(frames) and boundary + len(frames[whole]) <= at:
+        boundary += len(frames[whole])
+        whole += 1
+    tail = at - boundary
+    torn = int(tail > 0)
+    receiver = FogReceiver(config_for("plaintext"))
+    receiver.start()
+    try:
+        with socket.create_connection(("127.0.0.1", receiver.port)) as sock:
+            sock.sendall(b"".join(frames)[:at])
+            if ending == "stop":
+                assert wait_for(lambda: receiver.message_count == whole
+                                and held_bytes(receiver) == tail)
+                receiver.stop()
+        if ending == "eof":
+            # Once the connection is read and gone, only the two sockets
+            # of the loop itself are left in its map.
+            assert wait_for(lambda: receiver.message_count == whole
+                            and receiver.rejected == torn
+                            and len(receiver._selector.get_map()) == 2)
+        assert [m.sequence for m in receiver.messages] == list(range(1, whole + 1))
+        assert receiver.rejected == torn
+        lost = {"eof": "connection closed", "stop": "receiver stopped"}[ending]
+        assert [reason for _, _, reason in receiver.error_log.entries] == (
+            [f"frame rejected: {lost} mid-frame, {tail} bytes lost"] if tail else [])
+    finally:
+        receiver.stop()
+
+
 # ------------------------------------------------------------- latency
 
 def test_latency_stats_math():
@@ -695,7 +803,9 @@ def test_measure_latency_counts_every_record():
 
 
 def test_measure_latency_keeps_window_in_flight(monkeypatch):
+    from loiterwatch.transport import net
     window = 4
+    monkeypatch.setattr(net, "IN_FLIGHT", window)
     counts = {"sent": 0, "delivered": 0, "most": 0}
     send_record = FeatureSender.send_record
     add = LatencyStats.add
@@ -712,7 +822,7 @@ def test_measure_latency_keeps_window_in_flight(monkeypatch):
     monkeypatch.setattr(FeatureSender, "send_record", counting_send)
     monkeypatch.setattr(LatencyStats, "add", counting_add)
     sent = [simple_record(frame=i) for i in range(50)]
-    stats, received = measure_latency(config_for("symmetric", window=window), sent)
+    stats, received = measure_latency(config_for("symmetric"), sent)
     assert received == sent
     assert len(stats.samples) == 50
     assert 1 <= counts["most"] <= window
