@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .logs import DecisionLog, ErrorLog
+from .logs import DecisionLog
 
 if TYPE_CHECKING:  # the engine and records are passed in; neither is built here
     from .fuzzy import FuzzyEngine, SuspicionScore
@@ -84,48 +84,32 @@ def _alarm(score: SuspicionScore, threshold: float) -> bool:
     return score.ok and round(score.value, 4) >= round(threshold, 4)
 
 
-@dataclass(frozen=True)
-class SuspicionReport:
-    camera_id: str
-    track_id: int
-    frame_index: int
-    timestamp: float
-    score: SuspicionScore
-    threshold: float
-    alarm: bool
-
-
 class FogPipeline:
-    """Contextualize-score-decide loop over incoming feature records."""
+    """Contextualize-score-decide loop over incoming feature records; its
+    decision log is its one output."""
 
     def __init__(self, engine: FuzzyEngine, cameras: dict[str, CameraContext],
-                 policy: AlarmPolicy | None = None,
-                 decision_log: DecisionLog | None = None,
-                 error_log: ErrorLog | None = None):
+                 policy: AlarmPolicy | None = None):
         self.engine = engine
         self.cameras = dict(cameras)
         self.policy = policy or AlarmPolicy()
-        self.decision_log = decision_log if decision_log is not None else DecisionLog()
-        self.error_log = error_log or engine.error_log
+        self.decision_log = DecisionLog()
+        self.error_log = engine.error_log
 
-    def add_camera(self, ctx: CameraContext) -> None:
-        self.cameras[ctx.camera_id] = ctx
-
-    def process_record(self, camera_id: str, record: FeatureRecord) -> list[SuspicionReport]:
-        """Score every object of one record and apply the context-shifted
-        threshold.
+    def process_record(self, camera_id: str, record: FeatureRecord) -> None:
+        """Score every object of one record, apply the context-shifted
+        threshold and log one row per object, in record order. A record
+        from an unknown camera logs no row and one error line.
 
         Camera, local hour and threshold are per record, so they are looked
         up once, and the record's objects are scored together with hour
-        and people count as their shared inputs. Each object is logged in
-        record order.
+        and people count as their shared inputs.
         """
         ctx = self.cameras.get(camera_id)
         if ctx is None:
             self.error_log.append(camera_id, "record from unknown camera rejected")
-            return []
-        camera_id, frame_index, timestamp, objects = (
-            ctx.camera_id, record.frame_index, record.timestamp, record.objects)
+            return
+        camera_id, timestamp, objects = ctx.camera_id, record.timestamp, record.objects
         hour = hour_of_day(timestamp, ctx)
         threshold = self.policy.threshold_for(ctx, hour)
         scores = self.engine.score_record(
@@ -135,13 +119,10 @@ class FogPipeline:
               "direction-changes": float(obj.direction_change_count)}
              for obj in objects],
             [f"{camera_id}/{obj.track_id}" for obj in objects])
-        log, reports = self.decision_log.append, []
+        log = self.decision_log.append
         for obj, score in zip(objects, scores):
-            track_id, alarm = obj.track_id, _alarm(score, threshold)
-            log(timestamp, camera_id, track_id, score.value, threshold, alarm, score.status)
-            reports.append(SuspicionReport(camera_id, track_id, frame_index, timestamp,
-                                           score, threshold, alarm))
-        return reports
+            log(timestamp, camera_id, obj.track_id, score.value, threshold,
+                _alarm(score, threshold), score.status)
 
 
 def load_policy(path: str | Path) -> AlarmPolicy:

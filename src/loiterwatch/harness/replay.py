@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 
 from ..context import AlarmPolicy, FogPipeline
 from ..fuzzy import EngineConfig, FuzzyEngine, default_config
-from ..logs import DecisionLog, ErrorLog
-from ..tracking import TrackerParams, TrackFeatureExtractor
+from ..logs import DecisionLog
+from ..tracking import TrackFeatureExtractor
 from .dataset import group_frames, load_track_dataset
 from .scenarios import Scenario
 
@@ -61,26 +61,21 @@ def _frame_ticks(scenario: Scenario, detections) -> list[tuple[int, float, list]
 def replay_scenario(scenario: Scenario,
                     engine_config: EngineConfig | None = None,
                     policy: AlarmPolicy | None = None,
-                    tracker_params: TrackerParams | None = None,
                     transport: TransportConfig | None = None,
                     out_dir: str | Path | None = None,
-                    pace: bool = False,
-                    error_log: ErrorLog | None = None) -> ReplayResult:
+                    pace: bool = False) -> ReplayResult:
     """Run one scenario end to end; transport=None keeps it in-process."""
-    engine = FuzzyEngine(engine_config or default_config(),
-                         error_log=error_log or ErrorLog())
+    engine = FuzzyEngine(engine_config or default_config())
     camera_id = scenario.camera.camera_id
-    fog = FogPipeline(engine, cameras={camera_id: scenario.camera},
-                      policy=policy or AlarmPolicy())
-    extractor = TrackFeatureExtractor(tracker_params, error_log=engine.error_log)
+    fog = FogPipeline(engine, cameras={camera_id: scenario.camera}, policy=policy)
+    extractor = TrackFeatureExtractor(error_log=engine.error_log)
     result = ReplayResult(scenario=scenario, decision_log=fog.decision_log)
     ticks = _frame_ticks(scenario, load_track_dataset(scenario.detections_path))
 
     def consume(record, camera_id: str) -> None:
         t0 = time.perf_counter()
-        reports = fog.process_record(camera_id, record)
+        fog.process_record(camera_id, record)
         result.stats.total_decide_s += time.perf_counter() - t0
-        result.stats.decisions += len(reports)
 
     def run(send) -> None:
         """The tick loop: pace, extract, and send each record on."""
@@ -121,6 +116,7 @@ def replay_scenario(scenario: Scenario,
                 f"rejected {receiver.rejected}, duplicates {receiver.duplicates}, "
                 f"gaps {len(receiver.gaps)}")
     result.stats.wall_s = time.perf_counter() - started
+    result.stats.decisions = len(fog.decision_log.rows)
 
     if out_dir is not None:
         result.decisions_path = Path(out_dir) / f"{scenario.name}.decisions.csv"

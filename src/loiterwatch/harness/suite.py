@@ -5,11 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..context import AlarmPolicy
 from ..fuzzy import EngineConfig
-from ..tracking import TrackerParams
 from .evaluation import MATCH_WINDOW, EvaluationResult, emit_report, evaluate_scenario
-from .replay import ReplayResult, replay_scenario
+from .replay import replay_scenario
 from .scenarios import Scenario, generate_suite
 
 
@@ -17,7 +15,6 @@ from .scenarios import Scenario, generate_suite
 class SuiteResult:
     out_dir: Path
     scenarios: list[Scenario]
-    replays: list[ReplayResult]
     evaluations: list[EvaluationResult]
     report_path: Path
 
@@ -36,24 +33,19 @@ class SuiteResult:
 
 def run_suite(out_dir: str | Path, threshold: float = 60.0,
               window: float = MATCH_WINDOW,
-              engine_config: EngineConfig | None = None,
-              policy: AlarmPolicy | None = None,
-              tracker_params: TrackerParams | None = None) -> SuiteResult:
+              engine_config: EngineConfig | None = None) -> SuiteResult:
     """Generate, replay, evaluate and report the fixed 12-scenario suite."""
     out_dir = Path(out_dir)
     scenarios = generate_suite(out_dir / "scenarios")
-    replays = []
     evaluations = []
     for scenario in scenarios:
-        replay = replay_scenario(
-            scenario, engine_config=engine_config, policy=policy,
-            tracker_params=tracker_params, out_dir=out_dir / "runs")
-        replays.append(replay)
+        replay = replay_scenario(scenario, engine_config=engine_config,
+                                 out_dir=out_dir / "runs")
         evaluations.append(evaluate_scenario(
             scenario, replay.timeline, threshold=threshold, window=window,
             decisions=replay.stats.decisions,
             mean_decide_ms=replay.stats.mean_decide_ms,
             wall_s=replay.stats.wall_s))
     report_path = emit_report(evaluations, out_dir)
-    return SuiteResult(out_dir=out_dir, scenarios=scenarios, replays=replays,
+    return SuiteResult(out_dir=out_dir, scenarios=scenarios,
                        evaluations=evaluations, report_path=report_path)

@@ -124,7 +124,9 @@ class FeatureSender:
         self._session: Session | None = None
 
     def connect(self) -> None:
-        """Open the link, with its handshake, then write what is buffered."""
+        """Open the link, with its handshake, then write what is buffered,
+        in order. A link the sender still holds is closed first."""
+        self._close_socket()
         sock = socket.create_connection(
             (self.config.host, self.config.port), timeout=self.config.connect_timeout)
         try:
@@ -152,11 +154,6 @@ class FeatureSender:
         if session.open(ack_header, ack_body) != ACK_PAYLOAD:
             raise FrameRejected("bad handshake ack payload")
         return session
-
-    def reconnect(self) -> None:
-        """Re-establish the link; buffered records go out in order."""
-        self._close_socket()
-        self.connect()
 
     def send_record(self, record: FeatureRecord, camera_id: str) -> int:
         """Buffer one record and, while linked, write everything buffered.
@@ -338,7 +335,7 @@ class FogReceiver:
     def _handle_frame(self, session: Session, header: bytes, body: bytes) -> None:
         received_at = now_us()
         try:
-            version, mode, kind, sequence, sent_at = parse_header(header)
+            _, mode, kind, sequence, sent_at = parse_header(header)
             if mode != self.config.mode_byte:
                 raise FrameRejected(f"mode {MODE_BYTES[mode]!r} on a {self.config.mode!r} link")
             if kind != KIND_DATA:
@@ -361,8 +358,7 @@ class FogReceiver:
         self._last_seq[camera_id] = sequence
         self.latency.add(sequence, MODE_BYTES[mode],
                          4 + len(header) + len(body), received_at - sent_at)
-        message = WireMessage(version=version, mode=mode, kind=kind,
-                              sequence=sequence, sent_at=sent_at,
+        message = WireMessage(sequence=sequence, sent_at=sent_at,
                               camera_id=camera_id, record=record)
         if self.on_message is not None:
             self.on_message(message)
@@ -391,7 +387,9 @@ def measure_latency(config: TransportConfig, records: list[FeatureRecord],
                     camera_id: str = "bench",
                     timeout: float = 30.0) -> tuple[LatencyStats, list[FeatureRecord]]:
     """Loopback round: stream records through a local receiver, return
-    (latency stats, decoded records in arrival order).
+    (latency stats, decoded records in arrival order). Raises RuntimeError,
+    naming the sent and delivered counts, when not every record is
+    delivered within ``timeout`` seconds.
 
     At most ``IN_FLIGHT`` records are between send_record and delivery.
     Without that bound the socket buffers let the sender run hundreds of
@@ -434,4 +432,7 @@ def measure_latency(config: TransportConfig, records: list[FeatureRecord],
     finally:
         sender.close()
         receiver.stop()
+    if len(delivered) < len(records):
+        raise RuntimeError(f"latency round incomplete: sent {sent} of {len(records)} records, "
+                           f"delivered {len(delivered)}, rejected {receiver.rejected}")
     return receiver.latency, delivered

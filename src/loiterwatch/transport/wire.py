@@ -59,9 +59,8 @@ class FrameRejected(ValueError):
 
 @dataclass(frozen=True)
 class WireMessage:
-    version: int
-    mode: int
-    kind: int
+    """A delivered data frame; only data frames of the link's mode are delivered."""
+
     sequence: int
     sent_at: int  # microseconds
     camera_id: str

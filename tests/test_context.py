@@ -16,7 +16,7 @@ from loiterwatch.context import (
     load_policy,
 )
 from loiterwatch.fuzzy import FuzzyEngine, SuspicionScore, default_config
-from loiterwatch.logs import DecisionLog, ErrorLog
+from loiterwatch.logs import ErrorLog
 from loiterwatch.tracking import FeatureRecord, ObjectFeatures
 
 
@@ -163,31 +163,35 @@ def test_contextualize_maps_engine_inputs():
 
 
 def decide_one(engine, policy, context, record):
-    """The report for a 1-object record through a fresh pipeline."""
-    [report] = FogPipeline(engine, cameras={context.camera_id: context},
-                           policy=policy).process_record(context.camera_id, record)
-    return report
+    """(score, threshold, alarm, status) of a 1-object record's one
+    decision-log row, through a fresh pipeline."""
+    pipeline = FogPipeline(engine, cameras={context.camera_id: context}, policy=policy)
+    assert pipeline.process_record(context.camera_id, record) is None
+    [(_, _, _, score, threshold, alarm, status)] = pipeline.decision_log.rows
+    return float(score), float(threshold), alarm == "1", status
 
 
 class TestDecide:
     def test_alarm_iff_ok_and_at_threshold(self, engine):
         policy = AlarmPolicy()
         context = cam()
-        report = decide_one(engine, policy, context, record_with(dwell=25.0))
-        assert report.score.ok and report.score.value >= report.threshold
-        assert report.alarm
+        score, threshold, alarm, status = decide_one(engine, policy, context,
+                                                     record_with(dwell=25.0))
+        assert status == "ok" and score >= threshold
+        assert alarm
 
         calm = record_with(dwell=0.0, ts=3600.0 * 11)
-        report = decide_one(engine, policy, context, calm)
-        assert report.score.ok and report.score.value < report.threshold
-        assert not report.alarm
+        score, threshold, alarm, status = decide_one(engine, policy, context, calm)
+        assert status == "ok" and score < threshold
+        assert not alarm
 
     def test_input_error_never_alarms(self, engine):
         policy = AlarmPolicy(base_threshold=0.0, min_threshold=0.0)
-        report = decide_one(engine, policy, cam(), record_with(dwell=math.nan))
-        assert report.score.status == "input-error"
-        assert report.score.value == 0.0
-        assert not report.alarm  # 0 >= 0, yet status blocks the alarm
+        score, threshold, alarm, status = decide_one(engine, policy, cam(),
+                                                     record_with(dwell=math.nan))
+        assert status == "input-error"
+        assert score == 0.0 == threshold
+        assert not alarm  # 0 >= 0, yet status blocks the alarm
 
     @pytest.mark.parametrize("base,value,alarm", [
         pytest.param(60.0, 49.99999999999999, True,  # logs 50.0000
@@ -200,13 +204,11 @@ class TestDecide:
         pytest.param(65.00004, 55.00002, True, id="base-65.00004-55.00002-True"),
     ])
     def test_alarm_follows_the_logged_score(self, base, value, alarm):
-        log = DecisionLog()
-        pipeline = FogPipeline(FixedScore(value), cameras={"cam-1": cam(security_level=2)},
-                               policy=AlarmPolicy(base_threshold=base), decision_log=log)
-        [report] = pipeline.process_record("cam-1", record_with(dwell=1.0))
-        assert report.threshold == base - 10.0 and report.alarm is alarm
-        _, _, _, score, threshold, logged_alarm, _ = log.rows[0]
-        assert logged_alarm == ("1" if float(score) >= float(threshold) else "0")
+        score, threshold, logged_alarm, _ = decide_one(
+            FixedScore(value), AlarmPolicy(base_threshold=base), cam(security_level=2),
+            record_with(dwell=1.0))
+        assert threshold == round(base - 10.0, 4) and logged_alarm is alarm
+        assert logged_alarm is (score >= threshold)
 
 
 class TestFogPipeline:
@@ -217,15 +219,15 @@ class TestFogPipeline:
         return FogPipeline(engine, cameras)
 
     def test_processes_known_camera(self, pipeline):
-        reports = pipeline.process_record("cam-1", record_with(dwell=25.0))
-        assert len(reports) == 1
-        assert reports[0].camera_id == "cam-1"
-        assert len(pipeline.decision_log.rows) == 1
+        assert pipeline.process_record("cam-1", record_with(dwell=25.0, people=2)) is None
+        assert [row[1:3] for row in pipeline.decision_log.rows] == [["cam-1", "1"],
+                                                                    ["cam-1", "2"]]
+        assert pipeline.error_log.entries == []
 
     def test_rejects_unknown_camera(self, pipeline):
-        reports = pipeline.process_record("cam-9", record_with(dwell=25.0))
-        assert reports == []
-        assert len(pipeline.error_log.entries) == 1
+        assert pipeline.process_record("cam-9", record_with(dwell=25.0)) is None
+        [(_, source, reason)] = pipeline.error_log.entries
+        assert (source, reason) == ("cam-9", "record from unknown camera rejected")
         assert pipeline.decision_log.rows == []
 
     def test_record_decisions_equal_single_object_records(self, pipeline):
@@ -233,11 +235,11 @@ class TestFogPipeline:
                    ObjectFeatures(3, 7.5, 8, 1))
         record = FeatureRecord(frame_index=10, timestamp=3600.0 * 3, people_count=3,
                                objects=objects)
-        reports = pipeline.process_record("cam-1", record)
+        pipeline.process_record("cam-1", record)
         alone = FogPipeline(FuzzyEngine(default_config()), {"cam-1": cam()})
-        singles = [report for obj in objects
-                   for report in alone.process_record("cam-1", replace(record, objects=(obj,)))]
-        assert reports == singles
+        for obj in objects:
+            alone.process_record("cam-1", replace(record, objects=(obj,)))
+        assert len(pipeline.decision_log.rows) == 3
         assert pipeline.decision_log.rows == alone.decision_log.rows
         assert ([entry[1:] for entry in pipeline.error_log.entries]
                 == [entry[1:] for entry in alone.error_log.entries])

@@ -70,8 +70,9 @@ def test_in_process_fog_scores_without_transport():
         record = loiterwatch.FeatureRecord(
             frame_index=0, timestamp=3600.0 * 3, people_count=1,
             objects=(loiterwatch.ObjectFeatures(7, 40.0, 0, 0),))
-        [report] = pipeline.process_record("cam-1", record)
-        assert report.score.ok and report.alarm, report
+        pipeline.process_record("cam-1", record)
+        [row] = pipeline.decision_log.rows
+        assert row[5:] == ["1", "ok"], row
     """, ("numpy", "cryptography", "loiterwatch.transport", "loiterwatch.fuzzy.validation"))
     assert loaded == set()
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loiterwatch.tracking import FeatureRecord, ObjectFeatures
 from loiterwatch.transport import (
@@ -448,7 +448,7 @@ def test_sender_starts_no_thread():
         assert threading.active_count() == threads
         sender.send_record(simple_record(frame=1), "cam-1")
         assert threading.active_count() == threads
-        sender.reconnect()
+        sender.connect()
         assert threading.active_count() == threads
         sender.send_record(simple_record(frame=2), "cam-1")
         sender.close()
@@ -459,7 +459,22 @@ def test_sender_starts_no_thread():
         receiver.stop()
 
 
-def test_sequence_gaps_and_duplicates_are_tracked():
+@settings(max_examples=40, deadline=None)
+@given(seqs=st.lists(st.integers(1, 12), min_size=1, max_size=10))
+@example(seqs=[1, 3, 3, 2, 7])
+def test_sequence_gaps_and_duplicates_are_tracked(seqs):
+    """One camera's frames in any order: a frame is delivered iff its
+    sequence exceeds every earlier one, every other frame is one duplicate,
+    and each delivered jump of more than 1 is one gap."""
+    delivered, duplicates, gaps = [], 0, []
+    for seq in seqs:
+        if delivered and seq <= delivered[-1]:
+            duplicates += 1
+            continue
+        if delivered and seq > delivered[-1] + 1:
+            gaps.append(("cam-9", delivered[-1] + 1, seq))
+        delivered.append(seq)
+
     cfg = config_for("symmetric")
     receiver = FogReceiver(cfg)
     receiver.start()
@@ -472,14 +487,12 @@ def test_sequence_gaps_and_duplicates_are_tracked():
             return build_frame(header, session.seal(header, payload))
 
         with socket.create_connection(("127.0.0.1", receiver.port)) as sock:
-            for seq in (1, 3, 3, 2, 7):
-                sock.sendall(frame(seq))
-            deadline = time.monotonic() + 5.0
-            while receiver.message_count < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert [m.sequence for m in receiver.messages] == [1, 3, 7]
-        assert receiver.gaps == [("cam-9", 2, 3), ("cam-9", 4, 7)]
-        assert receiver.duplicates == 2  # replayed 3 and regressed 2
+            sock.sendall(b"".join(frame(seq) for seq in seqs))
+            assert wait_for(lambda: receiver.message_count + receiver.duplicates >= len(seqs))
+        assert [m.sequence for m in receiver.messages] == delivered
+        assert receiver.duplicates == duplicates
+        assert receiver.gaps == gaps
+        assert receiver.rejected == 0
     finally:
         receiver.stop()
 
@@ -619,7 +632,7 @@ def test_reconnect_resumes_in_order():
 
         second.start()
         sender.config = replace(sender.config, port=second.port)
-        sender.reconnect()
+        sender.connect()
         for i in range(10, 15):
             sender.send_record(simple_record(frame=i), "cam-1")
         sender.flush()
@@ -639,6 +652,34 @@ def test_reconnect_resumes_in_order():
     finally:
         sender.close()
         second.stop()
+
+
+def test_connect_on_a_linked_sender_closes_the_old_link():
+    """A second connect closes the socket the sender holds; records
+    buffered before the first connect and sent after the second each
+    arrive once, in order."""
+    cfg = config_for("symmetric")
+    receiver = FogReceiver(cfg)
+    receiver.start()
+    sender = FeatureSender(replace(cfg, port=receiver.port))
+    try:
+        for i in range(3):  # not linked yet: these wait in the buffer
+            sender.send_record(simple_record(frame=i), "cam-1")
+        sender.connect()
+        assert wait_for(lambda: receiver.message_count == 3)
+        first = sender._sock
+        sender.connect()
+        assert first.fileno() == -1 and sender._sock is not first
+        for i in range(3, 6):
+            sender.send_record(simple_record(frame=i), "cam-1")
+        assert sender.flush() == 0
+        assert wait_for(lambda: receiver.message_count == 6)
+        assert [m.sequence for m in receiver.messages] == [1, 2, 3, 4, 5, 6]
+        assert [m.record.frame_index for m in receiver.messages] == list(range(6))
+        assert receiver.duplicates == receiver.rejected == 0
+    finally:
+        sender.close()
+        receiver.stop()
 
 
 def test_receiver_forgets_finished_connections_and_stop_closes_live_ones():
@@ -826,6 +867,40 @@ def test_measure_latency_keeps_window_in_flight(monkeypatch):
     assert received == sent
     assert len(stats.samples) == 50
     assert 1 <= counts["most"] <= window
+
+
+@pytest.mark.parametrize("window", [4, None], ids=["window-wait", "tail-wait"])
+def test_measure_latency_raises_when_records_go_missing(monkeypatch, window):
+    """The receiver stops after 2 records. Whether the sender is then held
+    by a full window or has sent everything, the round raises within its
+    timeout, naming what was sent and delivered."""
+    from loiterwatch.transport import net
+    if window is not None:
+        monkeypatch.setattr(net, "IN_FLIGHT", window)
+    receivers = []
+    start, send_record = FogReceiver.start, FeatureSender.send_record
+
+    def noting_start(self):
+        receivers.append(self)
+        start(self)
+
+    def stopping_send(self, record, camera_id):
+        if record.frame_index == 2:
+            [receiver] = receivers
+            assert wait_for(lambda: len(receiver.latency.samples) == 2)
+            receiver.stop()
+        return send_record(self, record, camera_id)
+
+    monkeypatch.setattr(FogReceiver, "start", noting_start)
+    monkeypatch.setattr(FeatureSender, "send_record", stopping_send)
+    timeout = 1.0
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="delivered 2,") as raised:
+        measure_latency(config_for("plaintext"), [simple_record(frame=i) for i in range(10)],
+                        timeout=timeout)
+    assert time.monotonic() - started < timeout + 1.0
+    sent = 2 + window if window is not None else 10  # window-wait: full once 2 arrived
+    assert f"sent {sent} of 10 records" in str(raised.value)
 
 
 def test_measure_latency_collects_garbage_before_streaming(monkeypatch):
